@@ -4,8 +4,11 @@ Four policies share one harness: the diffusion-actor deterministic policy
 gradient learner (optionally fed delay-blind observations by the env), its
 plain MLP-actor ancestor, a Hungarian-assignment + factored double-DQN
 baseline over discretized powers and altitude steps, and a uniform-random
-reference. All agents consume raw [-1,1] action vectors through the same env
-surface; batches are processed sample by sample with gradient accumulation.
+reference. The two deterministic policy gradient learners are one
+ActorCriticAgent that differs only in its policy object. All agents consume
+raw [-1,1] action vectors through the same env surface. Updates run each
+replay batch as stacked (B, n) arrays through one batched pass per net; only
+acting is single-sample.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .neural import (
     load_checkpoint,
     save_checkpoint,
     soft_update,
-    zero_grads,
 )
 
 AGENT_KINDS = ("d3pg", "d3pg_wcsi", "ddpg", "h_ddqn", "random")
@@ -146,6 +148,13 @@ def hungarian_assign(cost: np.ndarray) -> tuple[np.ndarray, float]:
 # -- update rules ----------------------------------------------------------
 
 
+def _columns(batch: list) -> list[np.ndarray]:
+    """Stack a list of transition tuples into one array per field."""
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    return [np.array(column) for column in zip(*batch)]
+
+
 def critic_td_update(
     critic: DenseNet,
     critic_adam: AdamState,
@@ -154,43 +163,33 @@ def critic_td_update(
     batch: list,
     hp: AgentHyperparams,
 ) -> float:
-    """One Adam descent step on the mean squared TD error; returns the
-    pre-step loss. target_policy maps a next state to a next action."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    n = len(batch)
-    grads = zero_grads(critic)
-    loss = 0.0
-    for s, a, r, s2 in batch:
-        a2 = target_policy(s2)
-        q2 = forward_only(target_critic, np.concatenate([s2, a2]))[0]
-        y = r * hp.reward_scale + hp.discount * q2
-        q, tape = forward(critic, np.concatenate([s, a]))
-        err = q[0] - y
-        loss += err * err
-        g, _ = backward(critic, tape, np.array([2.0 * err / n]))
-        grads.add_(g)
+    """One Adam descent step on the mean squared TD error over (s, a, r, s2)
+    transitions; returns the pre-step loss. target_policy maps a (B, n) batch
+    of next states to a (B, action_dim) batch of next actions."""
+    s, a, r, s2 = _columns(batch)
+    n = len(r)
+    q2 = forward_only(target_critic, np.concatenate([s2, target_policy(s2)], axis=1))[:, 0]
+    y = r * hp.reward_scale + hp.discount * q2
+    q, tape = forward(critic, np.concatenate([s, a], axis=1))
+    err = q[:, 0] - y
+    grads, _ = backward(critic, tape, (2.0 * err / n)[:, None])
     adam_step(critic, grads, critic_adam)
-    return loss / n
+    return float(err @ err) / n
 
 
-def actor_pg_update(policy, critic: DenseNet, states: list, hp: AgentHyperparams) -> float:
+def actor_pg_update(policy, critic: DenseNet, states, hp: AgentHyperparams) -> float:
     """One Adam ascent step on mean Q(s, pi(s)) through the policy's own
-    differentiable sampler; returns the pre-step mean Q. The critic's
-    parameters are left untouched."""
-    if not states:
+    differentiable sampler, run once over the whole (B, n) batch of states;
+    returns the pre-step mean Q. The critic's parameters are left untouched."""
+    states = np.asarray(states, dtype=np.float64)
+    if len(states) == 0:
         raise ValueError("states must be non-empty")
-    n = len(states)
-    grads = zero_grads(policy.net)
-    q_mean = 0.0
-    for s in states:
-        a, backfn = policy.sample_for_training(s)
-        q, tape = forward(critic, np.concatenate([s, a]))
-        q_mean += q[0]
-        _, d_input = backward(critic, tape, np.array([1.0 / n]))
-        grads.add_(backfn(d_input[len(s):]))
-    adam_step(policy.net, grads, policy.adam, maximize=True)
-    return q_mean / n
+    n, state_dim = states.shape
+    actions, backfn = policy.sample_for_training(states)
+    q, tape = forward(critic, np.concatenate([states, actions], axis=1))
+    _, d_input = backward(critic, tape, np.full((n, 1), 1.0 / n))
+    adam_step(policy.net, backfn(d_input[:, state_dim:]), policy.adam, maximize=True)
+    return float(np.mean(q))
 
 
 def ddqn_update(
@@ -204,28 +203,22 @@ def ddqn_update(
     """Factored double-Q update: each head picks argmax with the online net and
     evaluates it with the target net. One descent step on the mean squared
     error across heads; returns the pre-step loss."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    n = len(batch)
-    n_heads = len(heads)
-    grads = zero_grads(qnet)
-    loss = 0.0
-    for s, idxs, r, s2 in batch:
-        q_next_online = forward_only(qnet, s2)
-        q_next_target = forward_only(target_qnet, s2)
-        q, tape = forward(qnet, s)
-        dy = np.zeros(qnet.n_out)
-        for h, (offset, size) in enumerate(heads):
-            a_star = offset + int(np.argmax(q_next_online[offset : offset + size]))
-            y = r * hp.reward_scale + hp.discount * q_next_target[a_star]
-            sel = offset + int(idxs[h])
-            err = q[sel] - y
-            loss += err * err
-            dy[sel] = 2.0 * err / (n * n_heads)
-        g, _ = backward(qnet, tape, dy)
-        grads.add_(g)
+    s, idxs, r, s2 = _columns(batch)
+    n, n_heads = len(r), len(heads)
+    q_next_online = forward_only(qnet, s2)
+    q_next_target = forward_only(target_qnet, s2)
+    q, tape = forward(qnet, s)
+    a_star = np.stack(
+        [offset + np.argmax(q_next_online[:, offset : offset + size], axis=1) for offset, size in heads], axis=1
+    )
+    y = (r * hp.reward_scale)[:, None] + hp.discount * np.take_along_axis(q_next_target, a_star, axis=1)
+    sel = np.array([offset for offset, _ in heads]) + idxs
+    err = np.take_along_axis(q, sel, axis=1) - y
+    dy = np.zeros_like(q)
+    np.put_along_axis(dy, sel, 2.0 * err / (n * n_heads), axis=1)
+    grads, _ = backward(qnet, tape, dy)
     adam_step(qnet, grads, qnet_adam)
-    return loss / (n * n_heads)
+    return float(np.sum(err * err)) / (n * n_heads)
 
 
 # -- policies and agents ----------------------------------------------------
@@ -236,122 +229,100 @@ def _mlp_sizes(n_in: int, n_out: int, hp: AgentHyperparams) -> tuple[int, ...]:
 
 
 class DiffusionPolicy:
-    """Denoiser net plus schedule; exposes the differentiable sampler."""
+    """Denoiser net plus schedule; exposes the differentiable sampler.
 
-    def __init__(self, net: DenseNet, schedule: DiffusionSchedule, adam: AdamState, rng: np.random.Generator):
+    Exploration comes from the stochastic reverse chain; evaluation actions
+    re-seed the chain start per call from eval_seed, making the policy a pure
+    function of (parameters, state).
+    """
+
+    checkpoint_part = "denoiser"
+    gaussian_exploration = False
+
+    def __init__(
+        self,
+        net: DenseNet,
+        schedule: DiffusionSchedule,
+        adam: AdamState,
+        rng: np.random.Generator,
+        eval_seed: tuple[int, int],
+    ):
         self.net = net
         self.schedule = schedule
         self.adam = adam
         self.rng = rng
+        self.eval_seed = eval_seed
 
-    def act(self, state: np.ndarray, rng: np.random.Generator, *, evaluation: bool = False) -> np.ndarray:
-        return sample_action(self.net, state, self.schedule, rng, evaluation=evaluation)
+    def act(self, state: np.ndarray, *, evaluation: bool = False) -> np.ndarray:
+        if evaluation:
+            rng = np.random.default_rng(self.eval_seed)
+            return sample_action(self.net, state, self.schedule, rng, evaluation=True)
+        return sample_action(self.net, state, self.schedule, self.rng)
 
-    def sample_for_training(self, state: np.ndarray):
-        action, chain = sample_action_with_tape(self.net, state, self.schedule, self.rng)
+    def target_act(self, target_net: DenseNet, states: np.ndarray) -> np.ndarray:
+        return sample_action(target_net, states, self.schedule, self.rng, evaluation=True)
+
+    def sample_for_training(self, states: np.ndarray):
+        action, chain = sample_action_with_tape(self.net, states, self.schedule, self.rng)
         return action, lambda d_action: chain_backward(self.net, self.schedule, chain, d_action)
 
 
 class MlpPolicy:
-    """Plain tanh-output actor."""
+    """Plain tanh-output actor; the agent adds Gaussian exploration noise."""
+
+    checkpoint_part = "actor"
+    gaussian_exploration = True
 
     def __init__(self, net: DenseNet, adam: AdamState):
         self.net = net
         self.adam = adam
 
-    def act(self, state: np.ndarray) -> np.ndarray:
+    def act(self, state: np.ndarray, *, evaluation: bool = False) -> np.ndarray:
         return forward_only(self.net, state)
 
-    def sample_for_training(self, state: np.ndarray):
-        action, tape = forward(self.net, state)
+    def target_act(self, target_net: DenseNet, states: np.ndarray) -> np.ndarray:
+        return forward_only(target_net, states)
+
+    def sample_for_training(self, states: np.ndarray):
+        action, tape = forward(self.net, states)
         return action, lambda d_action: backward(self.net, tape, d_action)[0]
 
 
-class D3PGAgent:
-    """Diffusion-policy deterministic policy gradient learner.
+class ActorCriticAgent:
+    """Deterministic policy gradient learner with a Q critic, for any policy
+    object: a DiffusionPolicy gives D3PG, an MlpPolicy gives DDPG with
+    linearly decayed Gaussian exploration noise on the raw actions.
 
-    Exploration comes from the stochastic reverse chain; evaluation actions
-    re-seed the chain start per call, making the policy a pure function of
-    (parameters, state).
+    Seeds: (seed, 2001) initializes the policy net then the critic, (seed,
+    2002) drives acting, target actions and training chains, (seed, 2003)
+    samples the replay buffer, and (seed, 2004) starts every D3PG evaluation
+    chain.
     """
 
-    kind = "d3pg"
-
-    def __init__(self, scenario: NetworkScenario, hp: AgentHyperparams, seed: int):
-        self.hp = hp
-        self.seed = seed
-        state_dim, action_dim = scenario.state_dim, scenario.action_dim
-        self.schedule = build_schedule(hp.denoise_steps, hp.beta_min, hp.beta_max)
-        init_rng = np.random.default_rng((seed, 2001))
-        denoiser = init_dense(
-            _mlp_sizes(action_dim + hp.denoise_steps + state_dim, action_dim, hp),
-            init_rng,
-            final_scale=0.01,
-        )
-        self.critic = init_dense(_mlp_sizes(state_dim + action_dim, 1, hp), init_rng)
-        self.target_denoiser = clone(denoiser)
-        self.target_critic = clone(self.critic)
-        self.rng = np.random.default_rng((seed, 2002))
-        self.policy = DiffusionPolicy(denoiser, self.schedule, AdamState.for_net(denoiser, hp.lr_actor), self.rng)
-        self.critic_adam = AdamState.for_net(self.critic, hp.lr_critic)
-        self.buffer = ReplayBuffer(hp.buffer_capacity, np.random.default_rng((seed, 2003)))
-        self.train_steps = 0
-
-    def act(self, state: np.ndarray, info: dict | None = None, *, evaluation: bool = False) -> np.ndarray:
-        if evaluation:
-            eval_rng = np.random.default_rng((self.seed, 2004))
-            return self.policy.act(state, eval_rng, evaluation=True)
-        return self.policy.act(state, self.rng)
-
-    def observe(self, s, a, r, s2) -> None:
-        self.buffer.push((s, a, r, s2))
-        self.train_steps += 1
-
-    def _target_policy(self, s2: np.ndarray) -> np.ndarray:
-        return sample_action(self.target_denoiser, s2, self.schedule, self.rng, evaluation=True)
-
-    def update(self) -> None:
-        if len(self.buffer) == 0:
-            return
-        batch = self.buffer.sample(self.hp.batch_size)
-        critic_td_update(self.critic, self.critic_adam, self.target_critic, self._target_policy, batch, self.hp)
-        actor_pg_update(self.policy, self.critic, [s for s, _, _, _ in batch], self.hp)
-        soft_update(self.target_denoiser, self.policy.net, self.hp.tau)
-        soft_update(self.target_critic, self.critic, self.hp.tau)
-
-    def save_checkpoint(self, directory, name: str = "d3pg") -> None:
-        save_checkpoint(self.policy.net, f"{directory}/{name}_denoiser.npz")
-        save_checkpoint(self.critic, f"{directory}/{name}_critic.npz")
-
-    def load_checkpoint(self, directory, name: str = "d3pg") -> None:
-        self.policy.net = load_checkpoint(f"{directory}/{name}_denoiser.npz")
-        self.critic = load_checkpoint(f"{directory}/{name}_critic.npz")
-        self.target_denoiser = clone(self.policy.net)
-        self.target_critic = clone(self.critic)
-        self.policy.adam = AdamState.for_net(self.policy.net, self.hp.lr_actor)
-        self.critic_adam = AdamState.for_net(self.critic, self.hp.lr_critic)
-
-
-class DDPGAgent:
-    """MLP-actor deterministic policy gradient with linearly decayed Gaussian
-    exploration noise on the raw actions."""
-
-    kind = "ddpg"
-
-    def __init__(self, scenario: NetworkScenario, hp: AgentHyperparams, seed: int):
+    def __init__(self, kind: str, scenario: NetworkScenario, hp: AgentHyperparams, seed: int):
+        self.kind = kind
         self.hp = hp
         self.seed = seed
         state_dim, action_dim = scenario.state_dim, scenario.action_dim
         init_rng = np.random.default_rng((seed, 2001))
-        actor = init_dense(
-            _mlp_sizes(state_dim, action_dim, hp), init_rng, output_activation="tanh", final_scale=0.01
-        )
-        self.critic = init_dense(_mlp_sizes(state_dim + action_dim, 1, hp), init_rng)
-        self.target_actor = clone(actor)
-        self.target_critic = clone(self.critic)
-        self.policy = MlpPolicy(actor, AdamState.for_net(actor, hp.lr_actor))
-        self.critic_adam = AdamState.for_net(self.critic, hp.lr_critic)
         self.rng = np.random.default_rng((seed, 2002))
+        if kind == "d3pg":
+            schedule = build_schedule(hp.denoise_steps, hp.beta_min, hp.beta_max)
+            net = init_dense(
+                _mlp_sizes(action_dim + hp.denoise_steps + state_dim, action_dim, hp), init_rng, final_scale=0.01
+            )
+            self.policy = DiffusionPolicy(
+                net, schedule, AdamState.for_net(net, hp.lr_actor), self.rng, (seed, 2004)
+            )
+        else:
+            net = init_dense(
+                _mlp_sizes(state_dim, action_dim, hp), init_rng, output_activation="tanh", final_scale=0.01
+            )
+            self.policy = MlpPolicy(net, AdamState.for_net(net, hp.lr_actor))
+        self.critic = init_dense(_mlp_sizes(state_dim + action_dim, 1, hp), init_rng)
+        self.target_actor = clone(self.policy.net)
+        self.target_critic = clone(self.critic)
+        self.critic_adam = AdamState.for_net(self.critic, hp.lr_critic)
         self.buffer = ReplayBuffer(hp.buffer_capacity, np.random.default_rng((seed, 2003)))
         self.train_steps = 0
 
@@ -360,8 +331,8 @@ class DDPGAgent:
         return self.hp.exploration_sigma * (1.0 - progress)
 
     def act(self, state: np.ndarray, info: dict | None = None, *, evaluation: bool = False) -> np.ndarray:
-        action = self.policy.act(state)
-        if evaluation:
+        action = self.policy.act(state, evaluation=evaluation)
+        if evaluation or not self.policy.gaussian_exploration:
             return action
         noise = self._sigma() * self.rng.standard_normal(action.shape)
         return np.clip(action + noise, -1.0, 1.0)
@@ -370,8 +341,8 @@ class DDPGAgent:
         self.buffer.push((s, a, r, s2))
         self.train_steps += 1
 
-    def _target_policy(self, s2: np.ndarray) -> np.ndarray:
-        return forward_only(self.target_actor, s2)
+    def _target_policy(self, states: np.ndarray) -> np.ndarray:
+        return self.policy.target_act(self.target_actor, states)
 
     def update(self) -> None:
         if len(self.buffer) == 0:
@@ -382,12 +353,14 @@ class DDPGAgent:
         soft_update(self.target_actor, self.policy.net, self.hp.tau)
         soft_update(self.target_critic, self.critic, self.hp.tau)
 
-    def save_checkpoint(self, directory, name: str = "ddpg") -> None:
-        save_checkpoint(self.policy.net, f"{directory}/{name}_actor.npz")
+    def save_checkpoint(self, directory, name: str | None = None) -> None:
+        name = name or self.kind
+        save_checkpoint(self.policy.net, f"{directory}/{name}_{self.policy.checkpoint_part}.npz")
         save_checkpoint(self.critic, f"{directory}/{name}_critic.npz")
 
-    def load_checkpoint(self, directory, name: str = "ddpg") -> None:
-        self.policy.net = load_checkpoint(f"{directory}/{name}_actor.npz")
+    def load_checkpoint(self, directory, name: str | None = None) -> None:
+        name = name or self.kind
+        self.policy.net = load_checkpoint(f"{directory}/{name}_{self.policy.checkpoint_part}.npz")
         self.critic = load_checkpoint(f"{directory}/{name}_critic.npz")
         self.target_actor = clone(self.policy.net)
         self.target_critic = clone(self.critic)
@@ -511,9 +484,9 @@ def make_agent(
     """Agent factory. d3pg_wcsi shares the D3PG learner; only the env's
     observation mode differs, so identical seeds give identical machinery."""
     if kind in ("d3pg", "d3pg_wcsi"):
-        return D3PGAgent(scenario, hp, seed)
+        return ActorCriticAgent("d3pg", scenario, hp, seed)
     if kind == "ddpg":
-        return DDPGAgent(scenario, hp, seed)
+        return ActorCriticAgent("ddpg", scenario, hp, seed)
     if kind == "h_ddqn":
         return HDDQNAgent(scenario, hp, seed, channel_params)
     if kind == "random":

@@ -4,8 +4,10 @@ A schedule of I diffusion rates drives a conditional reverse chain: starting
 from isotropic Gaussian noise, a denoiser net predicts the noise to subtract
 at each step given (current vector, one-hot step index, state); the final
 vector is squashed once by tanh into [-1, 1]. Step indices are 1-based
-(arrays store index i at position i-1). The forward-process helpers exist for
-testing the algebra; training differentiates through the reverse chain.
+(arrays store index i at position i-1). The samplers take one state (n,) or
+a batch (B, n) and run the same code for both. The forward-process helpers
+exist for testing the algebra; training differentiates through the reverse
+chain.
 """
 
 from __future__ import annotations
@@ -81,18 +83,48 @@ def posterior_mean(pi_i: np.ndarray, eps_hat: np.ndarray, i: int, schedule: Diff
     return (pi_i - coeff * eps_hat) / math.sqrt(phi_i)
 
 
-def step_one_hot(i: int, steps: int) -> np.ndarray:
-    enc = np.zeros(steps)
-    enc[i - 1] = 1.0
-    return enc
+def _reverse_chain(
+    denoiser: DenseNet,
+    state: np.ndarray,
+    schedule: DiffusionSchedule,
+    rng: np.random.Generator,
+    tapes: list[Tape] | None,
+    *,
+    deterministic_final: bool,
+    evaluation: bool,
+) -> np.ndarray:
+    """Reverse chain over one state (n,) or a batch (B, n); returns pi_0 and
+    appends one denoiser tape per step to tapes unless it is None.
 
-
-def _denoiser_input(pi: np.ndarray, i: int, state: np.ndarray, steps: int) -> np.ndarray:
-    return np.concatenate([pi, step_one_hot(i, steps), state])
-
-
-def action_dim_of(denoiser: DenseNet) -> int:
-    return denoiser.n_out
+    All noise comes from one draw of shape (..., 1 + noisy steps, dim): per
+    sample, pi_I and then each noisy step's noise, outermost first. That is the
+    order of running the samples' chains one after another, so a batch
+    consumes the rng exactly like B single-state chains.
+    """
+    steps, dim = schedule.steps, denoiser.n_out
+    noisy = [] if evaluation else [
+        i for i in range(steps, 0, -1) if schedule.beta_bar[i - 1] > 0.0 and not (i == 1 and deterministic_final)
+    ]
+    lead = np.shape(state)[:-1]
+    draws = rng.standard_normal(lead + (1 + len(noisy), dim))
+    # Denoiser input (pi, one-hot step, state): per step only pi and the hot entry change.
+    blank = np.concatenate([np.zeros(lead + (dim + steps,)), state], axis=-1)
+    pi = draws[..., 0, :]
+    drawn = 0
+    for i in range(steps, 0, -1):
+        x = blank.copy()
+        x[..., :dim] = pi
+        x[..., dim + i - 1] = 1.0
+        if tapes is None:
+            eps_hat = forward_only(denoiser, x)
+        else:
+            eps_hat, tape = forward(denoiser, x)
+            tapes.append(tape)
+        pi = posterior_mean(pi, eps_hat, i, schedule)
+        if i in noisy:
+            drawn += 1
+            pi = pi + math.sqrt(schedule.beta_bar[i - 1]) * draws[..., drawn, :]
+    return pi
 
 
 def sample_action(
@@ -104,24 +136,18 @@ def sample_action(
     deterministic_final: bool = True,
     evaluation: bool = False,
 ) -> np.ndarray:
-    """Run the reverse chain from Gaussian noise; returns tanh(pi_0) in [-1,1].
+    """Run the reverse chain from Gaussian noise; returns tanh(pi_0) in [-1,1],
+    one action per state row.
 
     In evaluation mode only the initial pi_I is drawn and every reverse step
     uses its mean; in training mode intermediate steps add sqrt(beta_bar_i)
     noise (the final step adds none when deterministic_final, and beta_bar_1
     is zero regardless).
     """
-    dim = denoiser.n_out
-    pi = rng.standard_normal(dim)
-    for i in range(schedule.steps, 0, -1):
-        eps_hat = forward_only(denoiser, _denoiser_input(pi, i, state, schedule.steps))
-        mu = posterior_mean(pi, eps_hat, i, schedule)
-        sigma = math.sqrt(schedule.beta_bar[i - 1])
-        if evaluation or sigma == 0.0 or (i == 1 and deterministic_final):
-            pi = mu
-        else:
-            pi = mu + sigma * rng.standard_normal(dim)
-    return np.tanh(pi)
+    pi_0 = _reverse_chain(
+        denoiser, state, schedule, rng, None, deterministic_final=deterministic_final, evaluation=evaluation
+    )
+    return np.tanh(pi_0)
 
 
 @dataclass
@@ -129,8 +155,6 @@ class ChainTape:
     """Record of one differentiable reverse chain (noise draws held constant)."""
 
     tapes: list[Tape]  # denoiser tapes, outermost step I first
-    pis: list[np.ndarray]  # pi_I .. pi_0
-    pi_0: np.ndarray
     action: np.ndarray
 
 
@@ -143,22 +167,12 @@ def sample_action_with_tape(
     deterministic_final: bool = True,
 ) -> tuple[np.ndarray, ChainTape]:
     """Like sample_action but records tapes so chain_backward can run."""
-    dim = denoiser.n_out
-    pi = rng.standard_normal(dim)
     tapes: list[Tape] = []
-    pis = [pi]
-    for i in range(schedule.steps, 0, -1):
-        eps_hat, tape = forward(denoiser, _denoiser_input(pi, i, state, schedule.steps))
-        tapes.append(tape)
-        mu = posterior_mean(pi, eps_hat, i, schedule)
-        sigma = math.sqrt(schedule.beta_bar[i - 1])
-        if sigma == 0.0 or (i == 1 and deterministic_final):
-            pi = mu
-        else:
-            pi = mu + sigma * rng.standard_normal(dim)
-        pis.append(pi)
-    action = np.tanh(pi)
-    return action, ChainTape(tapes=tapes, pis=pis, pi_0=pi, action=action)
+    pi_0 = _reverse_chain(
+        denoiser, state, schedule, rng, tapes, deterministic_final=deterministic_final, evaluation=False
+    )
+    action = np.tanh(pi_0)
+    return action, ChainTape(tapes=tapes, action=action)
 
 
 def chain_backward(
@@ -168,7 +182,8 @@ def chain_backward(
     d_action: np.ndarray,
 ) -> ParamGrads:
     """Backpropagate d_action through tanh and all reverse steps to the
-    denoiser parameters (reparameterized; noise draws are constants)."""
+    denoiser parameters (reparameterized; noise draws are constants). For a
+    batched chain the gradients are summed over its rows."""
     dim = denoiser.n_out
     grads = zero_grads(denoiser)
     d_pi = np.asarray(d_action, dtype=np.float64) * (1.0 - chain.action * chain.action)
@@ -181,5 +196,5 @@ def chain_backward(
         d_eps = -(coeff / sqrt_phi) * d_pi
         step_grads, d_input = backward(denoiser, chain.tapes[idx], d_eps)
         grads.add_(step_grads)
-        d_pi = d_pi / sqrt_phi + d_input[:dim]
+        d_pi = d_pi / sqrt_phi + d_input[..., :dim]
     return grads

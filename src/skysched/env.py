@@ -31,7 +31,7 @@ from .channel import (
     v2v_sinr,
 )
 from .energy import PowerModelParams, propulsion_power
-from .errors import EpisodeExhaustedError
+from .errors import EpisodeExhaustedError, NonFiniteActionError
 from .lyapunov import LyapunovConfig, VirtualQueue, queue_update
 from .mobility import MobilityTrace, UavState, VehicleState, advance_uav
 
@@ -145,26 +145,32 @@ def amend_action(raw: np.ndarray, scenario: NetworkScenario) -> FeasibleAction:
     Powers map affinely ((raw+1)/2 * p_max), delta_h scales by dh_max, and the
     channel matrix is built greedily: V2V links in descending order of their
     best preference score each take their highest-scoring still-free channel
-    (ties broken by lowest index). Total after clamping out-of-range inputs.
+    (ties broken by lowest index). Out-of-range entries are clamped; NaN or
+    infinite entries raise NonFiniteActionError naming their indices.
     """
-    raw = np.clip(np.asarray(raw, dtype=np.float64), -1.0, 1.0)
+    raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (scenario.action_dim,):
         raise ValueError(f"raw action shape {raw.shape} != ({scenario.action_dim},)")
-    scores, p_k_raw, p_m_raw, dh_raw = split_raw_action(raw, scenario)
-    p_k = (p_k_raw + 1.0) / 2.0 * scenario.p_max
-    p_m = (p_m_raw + 1.0) / 2.0 * scenario.p_max
-    delta_h = float(dh_raw) * scenario.dh_max
-
+    if not np.isfinite(raw).all():
+        bad = np.flatnonzero(~np.isfinite(raw)).tolist()
+        raise NonFiniteActionError(f"raw action has non-finite entries at indices {bad}")
+    raw = np.clip(raw, -1.0, 1.0)
     k_links, m_links = scenario.k_links, scenario.m_links
-    x = np.zeros((k_links, m_links), dtype=np.int64)
-    order = np.argsort(-scores.max(axis=1), kind="stable")
-    free = np.ones(m_links, dtype=bool)
+    n_scores = k_links * m_links
+    powers = (raw[n_scores:-1] + 1.0) / 2.0 * scenario.p_max
+    delta_h = float(raw[-1]) * scenario.dh_max
+
+    rows = raw[:n_scores].reshape(k_links, m_links).tolist()
+    order = sorted(range(k_links), key=lambda k: -max(rows[k]))
+    free = list(range(m_links))  # ascending, so max() keeps the lowest index on ties
+    channels = []
     for k in order:
-        candidates = np.flatnonzero(free)
-        best = candidates[np.argmax(scores[k, candidates])]
-        x[k, best] = 1
-        free[best] = False
-    return FeasibleAction(x=x, p_m=p_m.copy(), p_k=p_k.copy(), delta_h=delta_h)
+        best = max(free, key=rows[k].__getitem__)
+        channels.append(best)
+        free.remove(best)
+    x = np.zeros((k_links, m_links), dtype=np.int64)
+    x[order, channels] = 1
+    return FeasibleAction(x=x, p_m=powers[k_links:], p_k=powers[:k_links], delta_h=delta_h)
 
 
 def estimate_outage(
@@ -375,7 +381,10 @@ class VehicularEnv:
             raise EpisodeExhaustedError(f"episode {self._episode} already ran {self.n_slots} slots")
         scenario = self.scenario
         frame = self._frame(self._slot)
-        feasible = amend_action(raw_action, scenario)
+        try:
+            feasible = amend_action(raw_action, scenario)
+        except NonFiniteActionError as exc:
+            raise NonFiniteActionError(f"episode {self._episode}, slot {self._slot}: {exc}") from exc
 
         # Horizontal: fixed-magnitude step toward the V2U transmitter centroid.
         signed_speed = math.copysign(scenario.uav_speed, self._centroid_x(frame) - self._uav.x)

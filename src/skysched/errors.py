@@ -21,6 +21,10 @@ class InvalidStateError(SkySchedError):
     """Stale or mismatched internal state, e.g. a tape reused after an update."""
 
 
+class NonFiniteActionError(SkySchedError):
+    """A raw action holds NaN or infinite entries; the message names them."""
+
+
 class EpisodeExhaustedError(SkySchedError):
     """step() called after the episode's final slot."""
 

@@ -1,9 +1,10 @@
 """Minimal dense-network engine: forward with tape, exact reverse-mode backward,
 Adam updates, soft target updates, and bit-exact checkpoints.
 
-Single-sample semantics throughout; batches are handled by looping and
-accumulating gradients. Everything is float64 so finite-difference gradient
-checks hold to 1e-5 relative error.
+Inputs are one sample `(n,)` or a batch `(B, n)`; every layer is `a @ w.T + b`,
+so both run the same code and a 1-D input stays 1-D. backward() returns
+parameter gradients summed over the batch. Everything is float64 so
+finite-difference gradient checks hold to 1e-5 relative error.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class DenseNet:
     def n_out(self) -> int:
         return self.weights[-1].shape[0]
 
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 @dataclass
 class Tape:
@@ -64,7 +62,7 @@ class Tape:
 
     net_id: int
     net_version: int
-    x: np.ndarray
+    x: np.ndarray  # (n_in,) or (B, n_in)
     pre: list[np.ndarray]  # pre-activation z per layer
     post: list[np.ndarray]  # post-activation a per layer
 
@@ -81,12 +79,6 @@ class ParamGrads:
             dw += ow
         for db, ob in zip(self.d_biases, other.d_biases):
             db += ob
-
-    def scale_(self, c: float) -> None:
-        for dw in self.d_weights:
-            dw *= c
-        for db in self.d_biases:
-            db *= c
 
 
 def zero_grads(net: DenseNet) -> ParamGrads:
@@ -137,16 +129,17 @@ def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
 
 
 def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Affine + activation composition; returns the output and a tape that
-    suffices for one backward pass against the current parameters."""
+    """Affine + activation composition over one sample (n_in,) or a batch
+    (B, n_in); returns the output and a tape that suffices for one backward
+    pass against the current parameters."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.n_in,):
-        raise ValueError(f"input shape {x.shape} != ({net.n_in},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != net.n_in:
+        raise ValueError(f"input shape {x.shape} is neither ({net.n_in},) nor (B, {net.n_in})")
     pre, post = [], []
     a = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = w @ a + b
+        z = a @ w.T + b
         kind = net.output_activation if i == last else net.hidden_activation
         a = _act(z, kind)
         pre.append(z)
@@ -160,29 +153,32 @@ def forward_only(net: DenseNet, x: np.ndarray) -> np.ndarray:
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         kind = net.output_activation if i == last else net.hidden_activation
-        a = _act(w @ a + b, kind)
+        a = _act(a @ w.T + b, kind)
     return a
 
 
 def backward(net: DenseNet, tape: Tape, output_gradient: np.ndarray) -> tuple[ParamGrads, np.ndarray]:
-    """Exact reverse-mode gradients of forward(); returns (param grads, d_input)."""
+    """Exact reverse-mode gradients of forward(); returns (param grads summed
+    over the batch, d_input shaped like the tape's input)."""
     if tape.net_id != id(net) or tape.net_version != net.version:
         raise InvalidStateError("tape is stale: parameters changed since forward()")
     dy = np.asarray(output_gradient, dtype=np.float64)
-    if dy.shape != (net.n_out,):
-        raise ValueError(f"output_gradient shape {dy.shape} != ({net.n_out},)")
+    if dy.shape != tape.x.shape[:-1] + (net.n_out,):
+        raise ValueError(f"output_gradient shape {dy.shape} != {tape.x.shape[:-1] + (net.n_out,)}")
+    n_rows = 1 if dy.ndim == 1 else dy.shape[0]
     d_weights = [None] * len(net.weights)
     d_biases = [None] * len(net.weights)
     last = len(net.weights) - 1
-    grad = dy
+    grad = dy.reshape(n_rows, -1)
     for i in range(last, -1, -1):
         kind = net.output_activation if i == last else net.hidden_activation
-        dz = grad * _act_grad(tape.pre[i], tape.post[i], kind)
-        a_prev = tape.x if i == 0 else tape.post[i - 1]
-        d_weights[i] = np.outer(dz, a_prev)
-        d_biases[i] = dz
-        grad = net.weights[i].T @ dz
-    return ParamGrads(d_weights, d_biases), grad
+        z, a = tape.pre[i].reshape(n_rows, -1), tape.post[i].reshape(n_rows, -1)
+        dz = grad * _act_grad(z, a, kind)
+        a_prev = (tape.x if i == 0 else tape.post[i - 1]).reshape(n_rows, -1)
+        d_weights[i] = dz.T @ a_prev
+        d_biases[i] = dz.sum(axis=0)
+        grad = dz @ net.weights[i]
+    return ParamGrads(d_weights, d_biases), grad.reshape(tape.x.shape)
 
 
 @dataclass

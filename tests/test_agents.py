@@ -134,7 +134,7 @@ def test_critic_update_regresses_to_reward_with_zero_discount():
         for _ in range(8)
     ]
     losses = [
-        critic_td_update(critic, adam, target_critic, lambda s: np.zeros(action_dim), batch, hp)
+        critic_td_update(critic, adam, target_critic, lambda s: np.zeros((len(s), action_dim)), batch, hp)
         for _ in range(300)
     ]
     assert losses[-1] < losses[0] * 0.05
@@ -149,7 +149,7 @@ def test_critic_update_zero_loss_leaves_parameters():
     hp = AgentHyperparams(discount=0.0, reward_scale=1.0)
     s, a = np.ones(state_dim), np.ones(action_dim)
     batch = [(s, a, 0.0, s)]  # Q(s, a) = 0 = y
-    loss = critic_td_update(critic, adam, clone(critic), lambda s2: a, batch, hp)
+    loss = critic_td_update(critic, adam, clone(critic), lambda s2: np.tile(a, (len(s2), 1)), batch, hp)
     assert loss == 0.0
     assert np.all(critic.weights[0] == 0.0)
 
@@ -171,6 +171,47 @@ def test_critic_update_loss_decreases_on_fixed_batch():
     for _ in range(99):
         last = critic_td_update(critic, adam, target_critic, policy, batch, hp)
     assert last < first
+
+
+def test_critic_update_loss_is_mean_of_per_sample_losses():
+    rng = np.random.default_rng(9)
+    state_dim, action_dim = 4, 3
+    critic = init_dense((state_dim + action_dim, 16, 16, 1), rng)
+    target_critic = init_dense((state_dim + action_dim, 16, 16, 1), rng)
+    target_actor = init_dense((state_dim, 8, action_dim), rng, output_activation="tanh")
+    policy = lambda s: forward_only(target_actor, s)
+    hp = AgentHyperparams(discount=0.9, reward_scale=0.5)
+    batch = [
+        (rng.standard_normal(state_dim), np.tanh(rng.standard_normal(action_dim)), float(rng.normal()), rng.standard_normal(state_dim))
+        for _ in range(10)
+    ]
+
+    def loss_on(transitions):
+        net = clone(critic)
+        return critic_td_update(net, AdamState.for_net(net, 1e-3), target_critic, policy, transitions, hp)
+
+    per_sample = [loss_on([t]) for t in batch]
+    assert loss_on(batch) == pytest.approx(np.mean(per_sample), rel=1e-12)
+
+
+def test_ddqn_update_loss_is_mean_of_per_sample_losses():
+    rng = np.random.default_rng(10)
+    state_dim = 5
+    heads = [(0, 4), (4, 4), (8, 5)]
+    qnet = init_dense((state_dim, 16, 13), rng)
+    target = init_dense((state_dim, 16, 13), rng)
+    hp = AgentHyperparams(discount=0.9, reward_scale=0.5)
+    batch = [
+        (rng.standard_normal(state_dim), np.array([rng.integers(4), rng.integers(4), rng.integers(5)]), float(rng.normal()), rng.standard_normal(state_dim))
+        for _ in range(10)
+    ]
+
+    def loss_on(transitions):
+        net = clone(qnet)
+        return ddqn_update(net, AdamState.for_net(net, 1e-3), target, transitions, hp, heads)
+
+    per_sample = [loss_on([t]) for t in batch]
+    assert loss_on(batch) == pytest.approx(np.mean(per_sample), rel=1e-12)
 
 
 class _MlpPolicyForTest:
@@ -347,6 +388,16 @@ def test_checkpoint_round_trip_for_agents(tmp_path):
     agent.load_checkpoint(tmp_path)
     after = agent.act(state, info, evaluation=True)
     assert np.array_equal(before, after)
+
+
+def test_actor_critic_kinds_and_checkpoint_names(tmp_path):
+    env = toy_env(seed=7, n_slots=4)
+    for kind, agent_kind, actor_file in (("d3pg", "d3pg", "d3pg_denoiser.npz"), ("d3pg_wcsi", "d3pg", "d3pg_denoiser.npz"), ("ddpg", "ddpg", "ddpg_actor.npz")):
+        agent = make_agent(kind, env.scenario, env.channel_params, tiny_hp(), seed=7)
+        assert agent.kind == agent_kind
+        agent.save_checkpoint(tmp_path)
+        assert (tmp_path / actor_file).is_file()
+        assert (tmp_path / f"{agent_kind}_critic.npz").is_file()
 
 
 def test_evaluation_policy_is_pure_function_of_state():

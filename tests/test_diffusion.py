@@ -10,7 +10,6 @@ from skysched.diffusion import (
     posterior_mean,
     sample_action,
     sample_action_with_tape,
-    step_one_hot,
 )
 from skysched.neural import init_dense
 
@@ -189,24 +188,29 @@ def test_evaluation_mode_is_function_of_seeded_start():
     assert np.array_equal(a1, a2)
 
 
-def test_step_one_hot():
-    enc = step_one_hot(3, 4)
-    assert np.array_equal(enc, [0.0, 0.0, 1.0, 0.0])
-
-
 def test_chain_gradient_matches_finite_differences():
     """End-to-end oracle: d(sum(action))/d(theta) through the whole reverse
     chain vs central differences with the noise draws held fixed."""
+    check_chain_gradient(np.random.default_rng(13).standard_normal(4))
+
+
+def test_batched_chain_gradient_matches_finite_differences():
+    """The same oracle over a batch of 5 states: the gradient of the summed
+    actions of all rows."""
+    check_chain_gradient(np.random.default_rng(13).standard_normal((5, 4)))
+
+
+def check_chain_gradient(state):
     sched = build_schedule(3, 0.1, 10.0)
-    action_dim, state_dim = 3, 4
+    action_dim, state_dim = 3, state.shape[-1]
     net = make_denoiser(action_dim, 3, state_dim, seed=12)
-    state = np.random.default_rng(13).standard_normal(state_dim)
 
     def run(seed=99):
         return sample_action_with_tape(net, state, sched, np.random.default_rng(seed))
 
     action, chain = run()
-    grads = chain_backward(net, sched, chain, np.ones(action_dim))
+    assert action.shape == state.shape[:-1] + (action_dim,)
+    grads = chain_backward(net, sched, chain, np.ones_like(action))
 
     h = 1e-6
     rng_idx = np.random.default_rng(14)
@@ -223,3 +227,52 @@ def test_chain_gradient_matches_finite_differences():
         fd = (up - down) / (2.0 * h)
         analytic = grads.d_weights[layer][r, c]
         assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+@pytest.mark.parametrize("evaluation", [False, True])
+def test_batched_sampler_equals_single_state_chains(evaluation):
+    """A (B, n) batch draws the rng like B single-state chains in turn, so
+    the actions match row by row and the rng ends in the same state."""
+    sched = build_schedule(4, 0.1, 10.0)
+    net = make_denoiser(5, 4, 7, seed=15)
+    states = np.random.default_rng(16).standard_normal((6, 7))
+    rng_batch, rng_rows = np.random.default_rng(17), np.random.default_rng(17)
+    batched = sample_action(net, states, sched, rng_batch, evaluation=evaluation)
+    rows = [sample_action(net, s, sched, rng_rows, evaluation=evaluation) for s in states]
+    assert batched.shape == (6, 5)
+    assert np.allclose(batched, rows, rtol=0, atol=1e-12)
+    assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+
+
+def test_batched_chain_backward_equals_single_state_chains():
+    """Taped batched chain + chain_backward against B single-state chains run
+    from the same rng: actions, summed gradients and the rng state after."""
+    sched = build_schedule(4, 0.1, 10.0)
+    net = make_denoiser(5, 4, 7, seed=18)
+    rng_data = np.random.default_rng(19)
+    states, d_actions = rng_data.standard_normal((6, 7)), rng_data.standard_normal((6, 5))
+    rng_batch, rng_rows = np.random.default_rng(20), np.random.default_rng(20)
+    action, chain = sample_action_with_tape(net, states, sched, rng_batch)
+    grads = chain_backward(net, sched, chain, d_actions)
+    for row, (state, d_action) in enumerate(zip(states, d_actions)):
+        action_row, chain_row = sample_action_with_tape(net, state, sched, rng_rows)
+        assert np.allclose(action[row], action_row, rtol=0, atol=1e-12)
+        grads_row = chain_backward(net, sched, chain_row, d_action)
+        if row == 0:
+            summed = grads_row
+        else:
+            summed.add_(grads_row)
+    assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+    for batched, looped in zip(grads.d_weights + grads.d_biases, summed.d_weights + summed.d_biases):
+        assert np.allclose(batched, looped, rtol=0, atol=1e-12)
+
+
+def test_single_state_sampler_matches_row_of_one():
+    """A 1-D state runs the same code as a batch of one and returns a 1-D action."""
+    sched = build_schedule(4, 0.1, 10.0)
+    net = make_denoiser(5, 4, 7, seed=21)
+    state = np.random.default_rng(22).standard_normal(7)
+    single = sample_action(net, state, sched, np.random.default_rng(23))
+    batch_of_one = sample_action(net, state[None, :], sched, np.random.default_rng(23))
+    assert single.shape == (5,) and batch_of_one.shape == (1, 5)
+    assert np.allclose(single, batch_of_one[0], rtol=0, atol=1e-12)

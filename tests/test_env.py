@@ -5,7 +5,7 @@ import pytest
 
 from skysched.channel import ChannelParams
 from skysched.energy import PowerModelParams
-from skysched.errors import EpisodeExhaustedError
+from skysched.errors import EpisodeExhaustedError, NonFiniteActionError
 from skysched.env import (
     FeasibleAction,
     LinkPairing,
@@ -114,6 +114,34 @@ def test_amender_channel_relabeling_equivariance():
         x = amend_action(raw, sc).x
         x_perm = amend_action(raw_perm, sc).x
         assert np.array_equal(x_perm, x[:, perm])
+
+
+def test_amender_rejects_nan_power():
+    sc = toy_scenario()
+    raw = raw_action(sc, fill=0.0)
+    p_k_0 = sc.k_links * sc.m_links
+    raw[[p_k_0, p_k_0 + sc.k_links + 1]] = np.nan  # first V2V power, second V2U power
+    with pytest.raises(NonFiniteActionError, match=rf"\[{p_k_0}, {p_k_0 + sc.k_links + 1}\]"):
+        amend_action(raw, sc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_amender_rejects_non_finite_delta_h(bad):
+    sc = toy_scenario()
+    raw = raw_action(sc, fill=0.0)
+    raw[-1] = bad
+    with pytest.raises(NonFiniteActionError, match=rf"\[{sc.action_dim - 1}\]"):
+        amend_action(raw, sc)
+
+
+def test_step_names_episode_and_slot_of_non_finite_action():
+    env = make_env()
+    env.reset(3)
+    env.step(raw_action(env.scenario, fill=0.0))
+    raw = raw_action(env.scenario, fill=0.0)
+    raw[env.scenario.k_links * env.scenario.m_links] = np.nan
+    with pytest.raises(NonFiniteActionError, match="episode 3, slot 1"):
+        env.step(raw)
 
 
 # -- estimate_outage ----------------------------------------------------------

@@ -87,6 +87,44 @@ def test_forward_shape_mismatch():
         forward(net, np.zeros(4))
 
 
+def test_forward_rejects_three_dimensional_input():
+    net = make_net((5, 8, 1))
+    with pytest.raises(ValueError):
+        forward(net, np.zeros((2, 3, 5)))
+
+
+@pytest.mark.parametrize("output_activation", ["identity", "tanh"])
+def test_batched_pass_equals_sum_of_single_rows(output_activation):
+    """One (B, n) forward/backward gives the row-wise outputs and input
+    gradients, and parameter gradients equal to the sum of B single-row calls."""
+    net = make_net((6, 16, 16, 3), seed=7, output_activation=output_activation)
+    rng = np.random.default_rng(8)
+    xs, dys = rng.standard_normal((9, 6)), rng.standard_normal((9, 3))
+    y, tape = forward(net, xs)
+    grads, dx = backward(net, tape, dys)
+    assert y.shape == (9, 3) and dx.shape == (9, 6)
+    assert np.allclose(forward_only(net, xs), y, rtol=0, atol=1e-12)
+    summed = zero_grads(net)
+    for row, (x, dy) in enumerate(zip(xs, dys)):
+        y_row, tape_row = forward(net, x)
+        grads_row, dx_row = backward(net, tape_row, dy)
+        assert np.allclose(y[row], y_row, rtol=0, atol=1e-12)
+        assert np.allclose(dx[row], dx_row, rtol=0, atol=1e-12)
+        summed.add_(grads_row)
+    for batched, looped in zip(grads.d_weights + grads.d_biases, summed.d_weights + summed.d_biases):
+        assert batched.shape == looped.shape
+        assert np.allclose(batched, looped, rtol=0, atol=1e-12)
+
+
+def test_backward_rejects_gradient_of_other_batch_size():
+    net = make_net((4, 8, 2), seed=3)
+    _, tape = forward(net, np.zeros((5, 4)))
+    with pytest.raises(ValueError):
+        backward(net, tape, np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        backward(net, tape, np.zeros(2))
+
+
 def test_backward_linear_closed_form():
     # y = w*x: dy/dw = x, dy/dx = w
     net = DenseNet(weights=[np.array([[3.0]])], biases=[np.array([0.0])])
