@@ -6,6 +6,10 @@ LoS/NLoS mix averaged in dB; vehicle-to-vehicle links use the ground model
 first-order Gauss-Markov step with correlation J0(2*pi*f_c*s_rel*T_delay/c).
 All SINR and rate math is linear SI; dB is converted exactly once when gains
 are assembled.
+
+Each formula is written once over numpy arrays of links, so a slot's gains,
+SINRs and rates take one array pass per link family and J0 is evaluated once
+per link; the scalar functions are one-link wrappers over the same formulas.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 from scipy.special import j0 as _scipy_j0
 
 from .errors import InvalidGeometryError
@@ -87,16 +92,8 @@ class LinkGains:
     g_v_k_hat: np.ndarray  # (K,) complex
     g_v_mk_hat: np.ndarray  # (M, K) complex
 
-    @property
-    def m_links(self) -> int:
-        return self.h_u_m.shape[0]
 
-    @property
-    def k_links(self) -> int:
-        return self.h_u_k.shape[0]
-
-
-def db_to_linear(db: float) -> float:
+def db_to_linear(db):
     return 10.0 ** (db / 10.0)
 
 
@@ -105,60 +102,93 @@ def bessel_j0(x):
     return float(_scipy_j0(x)) if np.isscalar(x) else _scipy_j0(x)
 
 
-def los_probability(uav: UavState, vehicle: VehicleState, params: ChannelParams) -> float:
-    """Elevation-angle sigmoid Pr_LoS = 1/(1 + a*exp(-b*(theta_deg - a)))."""
-    horiz = math.hypot(uav.x - vehicle.x, uav.y - vehicle.y)
-    theta_deg = math.degrees(math.atan2(uav.altitude, horiz))  # horiz = 0 -> 90 deg
-    return 1.0 / (1.0 + params.env_a * math.exp(-params.env_b * (theta_deg - params.env_a)))
+def _kinematics(vehicles) -> np.ndarray:
+    """(n, 4) rows of (id, x, y, speed): the array form of a vehicle sequence."""
+    return np.array([(v.id, v.x, v.y, v.speed) for v in vehicles], dtype=float).reshape(-1, 4)
 
 
-def v2u_path_loss(
-    uav: UavState,
-    vehicle: VehicleState,
-    params: ChannelParams,
-    *,
-    pr_los: float | None = None,
-) -> float:
-    """Air-ground path loss in dB: LoS/NLoS free-space variants mixed in dB.
+def _horizontal(uav: UavState, x, y):
+    """Horizontal UAV-to-ground distance to points (x, y); scalars or arrays."""
+    return np.hypot(uav.x - x, uav.y - y)
 
-    pr_los overrides the elevation-angle probability (test hook).
-    """
-    horiz = math.hypot(uav.x - vehicle.x, uav.y - vehicle.y)
-    d = math.sqrt(uav.altitude**2 + horiz**2)
-    if d <= 0.0:
+
+def _los_probability(uav: UavState, horiz, params: ChannelParams):
+    """Elevation-angle sigmoid Pr_LoS = 1/(1 + a*exp(-b*(theta_deg - a))) at
+    horizontal distances horiz, as expit(b*(theta_deg - a) - ln a) so a steep
+    sigmoid saturates at 0 or 1 instead of overflowing."""
+    theta_deg = np.degrees(np.arctan2(uav.altitude, horiz))  # horiz = 0 -> 90 deg
+    return expit(params.env_b * (theta_deg - params.env_a) - math.log(params.env_a))
+
+
+def _v2u_path_loss(uav: UavState, horiz, params: ChannelParams, pr_los=None):
+    """Air-ground path loss in dB at horizontal distances horiz: LoS/NLoS
+    free-space variants mixed in dB by pr_los (default: the elevation-angle
+    probability)."""
+    d = np.sqrt(uav.altitude**2 + horiz**2)
+    if not np.all(d > 0.0):
         raise InvalidGeometryError("V2U link has zero 3-D distance")
     if pr_los is None:
-        pr_los = los_probability(uav, vehicle, params)
-    fspl = 20.0 * math.log10(4.0 * math.pi * params.carrier_frequency * d / params.light_speed)
+        pr_los = _los_probability(uav, horiz, params)
+    fspl = 20.0 * np.log10(4.0 * math.pi * params.carrier_frequency * d / params.light_speed)
     return pr_los * (fspl + params.alpha_los) + (1.0 - pr_los) * (fspl + params.alpha_nlos)
 
 
+def _v2v_path_loss(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """Ground-to-ground path loss in dB, 44.23 + 16.7*log10(d), between
+    matching rows of two (n, 4) kinematics arrays."""
+    d = np.hypot(tx[:, 1] - rx[:, 1], tx[:, 2] - rx[:, 2])
+    if not np.all(d > 0.0):
+        i = np.argmin(d)
+        raise InvalidGeometryError(f"V2V link {int(tx[i, 0])}->{int(rx[i, 0])} has zero distance")
+    return 44.23 + 16.7 * np.log10(d)
+
+
+def _age(g_hat: np.ndarray, s_rel: np.ndarray, rho: np.ndarray, params: ChannelParams, rng) -> np.ndarray:
+    """Gauss-Markov step g = rho*g_hat + delta, delta ~ CN(0, 1 - rho^2), per link.
+
+    The links with nonzero delay and relative speed draw one (n, 2) block of
+    (re, im) normals in link order; the others draw nothing and keep g_hat bit
+    for bit.
+    """
+    g = np.array(g_hat, dtype=complex)
+    aged = (s_rel != 0.0) & (params.t_delay != 0.0)
+    r = rho[aged]
+    scale = np.sqrt(np.maximum(0.0, 1.0 - r * r) / 2.0)
+    g[aged] = r * g[aged] + (rng.standard_normal((r.size, 2)) * scale[:, None]).view(complex)[:, 0]
+    return g
+
+
+def los_probability(uav: UavState, vehicle: VehicleState, params: ChannelParams) -> float:
+    """Elevation-angle LoS probability of one V2U link."""
+    return float(_los_probability(uav, _horizontal(uav, vehicle.x, vehicle.y), params))
+
+
+def v2u_path_loss(uav: UavState, vehicle: VehicleState, params: ChannelParams, *, pr_los=None) -> float:
+    """Air-ground path loss in dB of one V2U link.
+
+    pr_los overrides the elevation-angle probability (test hook).
+    """
+    return float(_v2u_path_loss(uav, _horizontal(uav, vehicle.x, vehicle.y), params, pr_los))
+
+
 def v2v_path_loss(tx: VehicleState, rx: VehicleState) -> float:
-    """Ground-to-ground path loss in dB: 44.23 + 16.7*log10(d)."""
-    d = math.hypot(tx.x - rx.x, tx.y - rx.y)
-    if d <= 0.0:
-        raise InvalidGeometryError(f"V2V link {tx.id}->{rx.id} has zero distance")
-    return 44.23 + 16.7 * math.log10(d)
+    """Ground-to-ground path loss in dB of one V2V link: 44.23 + 16.7*log10(d)."""
+    return float(_v2v_path_loss(_kinematics([tx]), _kinematics([rx]))[0])
 
 
-def aging_correlation(s_rel: float, params: ChannelParams) -> float:
-    """Gauss-Markov correlation J0(2*pi*f_c*s_rel*T_delay/c) for one link."""
+def aging_correlation(s_rel, params: ChannelParams):
+    """Gauss-Markov correlation J0(2*pi*f_c*s_rel*T_delay/c) for one link or an array of links."""
     return bessel_j0(2.0 * math.pi * params.carrier_frequency * s_rel * params.t_delay / params.light_speed)
 
 
 def age_fading(g_hat: complex, s_rel: float, params: ChannelParams, rng: np.random.Generator) -> complex:
-    """Age a pre-delay fading coefficient across the feedback delay.
+    """Age one pre-delay fading coefficient across the feedback delay.
 
     g = rho*g_hat + delta with delta ~ CN(0, 1 - rho^2); with zero delay (or
     zero relative speed) the coefficient is returned unchanged, bit for bit.
     """
-    if params.t_delay == 0.0 or s_rel == 0.0:
-        return g_hat
-    rho = aging_correlation(s_rel, params)
-    var = max(0.0, 1.0 - rho * rho)
-    scale = math.sqrt(var / 2.0)
-    delta = complex(rng.standard_normal() * scale, rng.standard_normal() * scale)
-    return rho * g_hat + delta
+    s = np.array([s_rel], dtype=float)
+    return complex(_age(np.array([g_hat]), s, aging_correlation(s, params), params, rng)[0])
 
 
 def draw_fading(m_links: int, k_links: int, rng: np.random.Generator) -> FadingState:
@@ -175,8 +205,13 @@ def draw_fading(m_links: int, k_links: int, rng: np.random.Generator) -> FadingS
     )
 
 
-def _rel_speed(a: VehicleState, b: VehicleState, params: ChannelParams) -> float:
-    return max(abs(a.speed - b.speed), params.s_rel_min)
+def v2u_family_gains(uav: UavState, v2u_tx, v2v_pairs, fading: FadingState, params: ChannelParams):
+    """(h_u_m, h_u_k): |g|^2 / PL_linear from the M V2U transmitters and the K
+    V2V transmitters to the UAV, the only gains that depend on its altitude."""
+    kin = _kinematics([*v2u_tx, *(tx for tx, _rx in v2v_pairs)])
+    pl = db_to_linear(_v2u_path_loss(uav, _horizontal(uav, kin[:, 1], kin[:, 2]), params))
+    h = np.abs(np.concatenate([fading.g_u_m, fading.g_u_k])) ** 2 / pl
+    return h[: len(v2u_tx)], h[len(v2u_tx) :]
 
 
 def assemble_gains(
@@ -190,85 +225,48 @@ def assemble_gains(
     """Compose |g|^2 / PL_linear for every link family at the given geometry.
 
     v2u_tx holds the M V2U transmitters; v2v_pairs the K (tx, rx) vehicle
-    pairs. Aged V2V families apply age_fading per coefficient (desired links
-    first, then the M x K interference family row-major); pre-delay families
+    pairs. The V2V families form one block of K + M*K links, the desired links
+    first and then the M x K interference family row-major; the aged gains
+    apply the Gauss-Markov step to it in that order, and the pre-delay gains
     use the raw coefficients.
     """
     m_links, k_links = len(v2u_tx), len(v2v_pairs)
     if fading.g_u_m.shape != (m_links,) or fading.g_v_mk_hat.shape != (m_links, k_links):
         raise ValueError("fading dimensions do not match link counts")
+    pair_rx = _kinematics(rx for _tx, rx in v2v_pairs)
+    tx = np.concatenate([_kinematics(tx for tx, _rx in v2v_pairs), np.repeat(_kinematics(v2u_tx), k_links, axis=0)])
+    rx = np.concatenate([pair_rx, np.tile(pair_rx, (m_links, 1))])
+    pl = db_to_linear(_v2v_path_loss(tx, rx))
+    s_rel = np.maximum(np.abs(tx[:, 3] - rx[:, 3]), params.s_rel_min)
+    rho = aging_correlation(s_rel, params)
+    g_hat = np.concatenate([fading.g_v_k_hat, fading.g_v_mk_hat.ravel()])
+    h = np.abs(_age(g_hat, s_rel, rho, params, rng)) ** 2 / pl
 
-    h_u_m = np.empty(m_links)
-    for m, veh in enumerate(v2u_tx):
-        pl = db_to_linear(v2u_path_loss(uav, veh, params))
-        h_u_m[m] = abs(fading.g_u_m[m]) ** 2 / pl
+    def split(block):
+        return block[:k_links], block[k_links:].reshape(m_links, k_links)
 
-    h_u_k = np.empty(k_links)
-    for k, (tx, _rx) in enumerate(v2v_pairs):
-        pl = db_to_linear(v2u_path_loss(uav, tx, params))
-        h_u_k[k] = abs(fading.g_u_k[k]) ** 2 / pl
-
-    pl_v_k = np.empty(k_links)
-    rho_v_k = np.empty(k_links)
-    h_v_k = np.empty(k_links)
-    h_v_k_hat = np.empty(k_links)
-    for k, (tx, rx) in enumerate(v2v_pairs):
-        pl_v_k[k] = db_to_linear(v2v_path_loss(tx, rx))
-        s_rel = _rel_speed(tx, rx, params)
-        rho_v_k[k] = aging_correlation(s_rel, params)
-        aged = age_fading(fading.g_v_k_hat[k], s_rel, params, rng)
-        h_v_k[k] = abs(aged) ** 2 / pl_v_k[k]
-        h_v_k_hat[k] = abs(fading.g_v_k_hat[k]) ** 2 / pl_v_k[k]
-
-    pl_v_mk = np.empty((m_links, k_links))
-    rho_v_mk = np.empty((m_links, k_links))
-    h_v_mk = np.empty((m_links, k_links))
-    h_v_mk_hat = np.empty((m_links, k_links))
-    for m, veh in enumerate(v2u_tx):
-        for k, (_tx, rx) in enumerate(v2v_pairs):
-            pl_v_mk[m, k] = db_to_linear(v2v_path_loss(veh, rx))
-            s_rel = _rel_speed(veh, rx, params)
-            rho_v_mk[m, k] = aging_correlation(s_rel, params)
-            aged = age_fading(fading.g_v_mk_hat[m, k], s_rel, params, rng)
-            h_v_mk[m, k] = abs(aged) ** 2 / pl_v_mk[m, k]
-            h_v_mk_hat[m, k] = abs(fading.g_v_mk_hat[m, k]) ** 2 / pl_v_mk[m, k]
-
-    return LinkGains(
-        h_u_m=h_u_m,
-        h_u_k=h_u_k,
-        h_v_k=h_v_k,
-        h_v_mk=h_v_mk,
-        h_v_k_hat=h_v_k_hat,
-        h_v_mk_hat=h_v_mk_hat,
-        pl_v_k_linear=pl_v_k,
-        pl_v_mk_linear=pl_v_mk,
-        rho_v_k=rho_v_k,
-        rho_v_mk=rho_v_mk,
-        g_v_k_hat=fading.g_v_k_hat.copy(),
-        g_v_mk_hat=fading.g_v_mk_hat.copy(),
-    )
+    # LinkGains lists each V2V quantity as its (K,) desired part, then its (M, K) interference part.
+    h_u = v2u_family_gains(uav, v2u_tx, v2v_pairs, fading, params)
+    return LinkGains(*h_u, *split(h), *split(np.abs(g_hat) ** 2 / pl), *split(pl), *split(rho), *split(g_hat))
 
 
-def v2u_sinr(m: int, gains: LinkGains, action, params: ChannelParams) -> float:
-    """SINR of V2U link m under the given feasible action (true gains)."""
-    interference = 0.0
-    for k in range(gains.k_links):
-        if action.x[k, m]:
-            interference += action.p_k[k] * gains.h_u_k[k]
-    return action.p_m[m] * gains.h_u_m[m] / (interference + params.noise_power)
+def v2u_sinr(gains: LinkGains, action, params: ChannelParams) -> np.ndarray:
+    """(M,) SINR of every V2U link under the action (true gains): channel m
+    hears every V2V link k with x[k, m] = 1."""
+    interference = (action.p_k * gains.h_u_k) @ action.x
+    return action.p_m * gains.h_u_m / (interference + params.noise_power)
 
 
-def v2v_sinr(k: int, gains: LinkGains, action, params: ChannelParams) -> float:
-    """SINR of V2V link k under the given feasible action (aged gains)."""
-    interference = 0.0
-    for m in range(gains.m_links):
-        if action.x[k, m]:
-            interference += action.p_m[m] * gains.h_v_mk[m, k]
-    return action.p_k[k] * gains.h_v_k[k] / (interference + params.noise_power)
+def v2v_sinr(gains: LinkGains, action, params: ChannelParams) -> np.ndarray:
+    """(K,) SINR of every V2V link under the action (aged gains): link k hears
+    the V2U transmitter of every channel m with x[k, m] = 1."""
+    interference = (action.x.T * (action.p_m[:, None] * gains.h_v_mk)).sum(axis=0)
+    return action.p_k * gains.h_v_k / (interference + params.noise_power)
 
 
-def v2u_rate(gamma: float, params: ChannelParams) -> float:
-    """Shannon rate B*log2(1+gamma) in bits/second."""
-    if gamma < 0.0:
+def v2u_rate(gamma, params: ChannelParams):
+    """Shannon rate B*log2(1+gamma) in bits/second, for one SINR or an array."""
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(gamma < 0.0):
         raise ValueError(f"SINR must be >= 0, got {gamma}")
-    return params.bandwidth_per_channel * math.log2(1.0 + gamma)
+    return params.bandwidth_per_channel * np.log2(1.0 + gamma)

@@ -10,6 +10,9 @@ channel, powers in [0, p_max], |delta_h| <= dh_max.
 States are MK+2K+M+1 vectors: log10 channel gains (V2U family, then the V2V
 family, which switches to pre-delay gains when observe_aged is off) under a
 running per-entry standardization frozen after a warm-up, then Q(t)/E_th.
+
+A step scores the decision over all links at once: one gain reprice for the
+V2U family, one (M,) SINR and rate array, and one (K,) outage Monte Carlo.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from .channel import (
     LinkGains,
     assemble_gains,
     draw_fading,
-    v2u_path_loss,
-    db_to_linear,
+    v2u_family_gains,
     v2u_rate,
     v2u_sinr,
     v2v_sinr,
@@ -174,43 +176,49 @@ def amend_action(raw: np.ndarray, scenario: NetworkScenario) -> FeasibleAction:
 
 
 def estimate_outage(
-    k: int,
     gains: LinkGains,
     action: FeasibleAction,
     params: ChannelParams,
     gamma_threshold: float,
     n_samples: int,
     rng: np.random.Generator,
-) -> float:
-    """Monte-Carlo Pr{V2V SINR_k < threshold} over redraws of the aging
+) -> np.ndarray:
+    """(K,) Monte-Carlo Pr{V2V SINR_k < threshold} over redraws of the aging
     discrepancy term, holding pre-delay fading, path loss, and the action
-    fixed. Exact (0 or 1) with zero feedback delay."""
+    fixed. Exact (0 or 1) with zero feedback delay.
+
+    Every V2V link must hold exactly one channel (one interferer). The redraws
+    are one (K, 2, 2, n_samples) block: per link, desired re, desired im,
+    interferer re, interferer im.
+    """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    interferers = [m for m in range(gains.m_links) if action.x[k, m]]
+    bad = np.flatnonzero(action.x.sum(axis=1) != 1)
+    if bad.size:
+        raise ValueError(f"rows {bad.tolist()} of action.x do not hold exactly one channel")
     if params.t_delay == 0.0:
-        gamma = v2v_sinr(k, gains, action, params)
-        return 1.0 if gamma < gamma_threshold else 0.0
+        return (v2v_sinr(gains, action, params) < gamma_threshold).astype(float)
 
-    def power_samples(rho: float, g_hat: complex, pl_linear: float, tx_power: float) -> np.ndarray:
-        scale = math.sqrt(max(0.0, 1.0 - rho * rho) / 2.0)
-        re = rho * g_hat.real + scale * rng.standard_normal(n_samples)
-        im = rho * g_hat.imag + scale * rng.standard_normal(n_samples)
-        return tx_power * (re * re + im * im) / pl_linear
+    channel = action.x.argmax(axis=1)
+    interferer = (channel, np.arange(len(channel)))
+    # (K, 2): the desired link, then its one interferer.
+    rho = np.stack([gains.rho_v_k, gains.rho_v_mk[interferer]], axis=1)
+    g_hat = np.stack([gains.g_v_k_hat, gains.g_v_mk_hat[interferer]], axis=1)
+    pl_linear = np.stack([gains.pl_v_k_linear, gains.pl_v_mk_linear[interferer]], axis=1)
+    tx_power = np.stack([action.p_k, action.p_m[channel]], axis=1)
 
-    desired = power_samples(
-        float(gains.rho_v_k[k]), complex(gains.g_v_k_hat[k]), float(gains.pl_v_k_linear[k]), float(action.p_k[k])
-    )
-    interference = np.zeros(n_samples)
-    for m in interferers:
-        interference += power_samples(
-            float(gains.rho_v_mk[m, k]),
-            complex(gains.g_v_mk_hat[m, k]),
-            float(gains.pl_v_mk_linear[m, k]),
-            float(action.p_m[m]),
-        )
-    gamma = desired / (interference + params.noise_power)
-    return float(np.mean(gamma < gamma_threshold))
+    scale = np.sqrt(np.maximum(0.0, 1.0 - rho * rho) / 2.0)
+    mean = rho[..., None] * np.stack([g_hat.real, g_hat.imag], axis=-1)  # (K, 2, 2): re, im
+    # In place on the draw, so the only large temporaries are (K, n).
+    samples = rng.standard_normal((len(channel), 2, 2, n_samples))
+    samples *= scale[..., None, None]
+    samples += mean[..., None]
+    np.square(samples, out=samples)
+    power = np.add(samples[:, :, 0], samples[:, :, 1], out=samples[:, :, 0])  # |g|^2, (K, 2, n)
+    power *= tx_power[..., None]
+    power /= pl_linear[..., None]
+    gamma = power[:, 0] / (power[:, 1] + params.noise_power)
+    return np.mean(gamma < gamma_threshold, axis=-1)
 
 
 class StateNormalizer:
@@ -322,9 +330,6 @@ class VehicularEnv:
 
     # -- geometry helpers -------------------------------------------------
 
-    def _frame(self, t: int) -> dict[int, VehicleState]:
-        return self.trace.frame(t)
-
     def _v2u_vehicles(self, frame) -> list[VehicleState]:
         return [frame[vid] for vid in self.pairing.v2u_tx]
 
@@ -347,14 +352,9 @@ class VehicularEnv:
     def _reprice_v2u_family(self, gains: LinkGains, frame, uav: UavState) -> LinkGains:
         """Rebuild only the altitude-dependent V2U-family gains at the adjusted
         geometry, keeping the slot's fading and aging draws."""
-        h_u_m = np.empty(self.scenario.m_links)
-        for m, veh in enumerate(self._v2u_vehicles(frame)):
-            pl = db_to_linear(v2u_path_loss(uav, veh, self.channel_params))
-            h_u_m[m] = abs(self._fading.g_u_m[m]) ** 2 / pl
-        h_u_k = np.empty(self.scenario.k_links)
-        for k, (tx, _rx) in enumerate(self._v2v_vehicle_pairs(frame)):
-            pl = db_to_linear(v2u_path_loss(uav, tx, self.channel_params))
-            h_u_k[k] = abs(self._fading.g_u_k[k]) ** 2 / pl
+        h_u_m, h_u_k = v2u_family_gains(
+            uav, self._v2u_vehicles(frame), self._v2v_vehicle_pairs(frame), self._fading, self.channel_params
+        )
         return replace(gains, h_u_m=h_u_m, h_u_k=h_u_k)
 
     # -- gym-style API -----------------------------------------------------
@@ -363,7 +363,7 @@ class VehicularEnv:
         self._episode = self._episode + 1 if episode is None else episode
         self._slot = 0
         self._done = False
-        frame = self._frame(0)
+        frame = self.trace.frame(0)
         self._uav = UavState(
             x=self._centroid_x(frame),
             y=float(np.mean([frame[vid].y for vid in self.pairing.v2u_tx])),
@@ -380,7 +380,7 @@ class VehicularEnv:
         if self._done:
             raise EpisodeExhaustedError(f"episode {self._episode} already ran {self.n_slots} slots")
         scenario = self.scenario
-        frame = self._frame(self._slot)
+        frame = self.trace.frame(self._slot)
         try:
             feasible = amend_action(raw_action, scenario)
         except NonFiniteActionError as exc:
@@ -403,19 +403,14 @@ class VehicularEnv:
             self._gains, frame, replace(self._uav, altitude=uav_next.altitude)
         )
 
-        rates = np.array(
-            [v2u_rate(v2u_sinr(m, realized, feasible, self.channel_params), self.channel_params) for m in range(scenario.m_links)]
-        )
+        rates = v2u_rate(v2u_sinr(realized, feasible, self.channel_params), self.channel_params)
         mean_rate = float(np.mean(rates))
 
         outage_rng = self._slot_rng(self._slot, 1)
-        violations = 0
-        for k in range(scenario.k_links):
-            prob = estimate_outage(
-                k, realized, feasible, self.channel_params, scenario.gamma_v_th, self.outage_samples, outage_rng
-            )
-            if prob > scenario.pr_v_th:
-                violations += 1
+        outage = estimate_outage(
+            realized, feasible, self.channel_params, scenario.gamma_v_th, self.outage_samples, outage_rng
+        )
+        violations = int(np.count_nonzero(outage > scenario.pr_v_th))
 
         power = propulsion_power(uav_next.velocity, self.power_params)
         cfg = self.lyapunov_cfg
@@ -436,7 +431,7 @@ class VehicularEnv:
         self._uav = uav_next
         self._slot += 1
         self._done = self._slot >= self.n_slots
-        next_frame = self._frame(self._slot)
+        next_frame = self.trace.frame(self._slot)
         self._gains = self._observe_gains(next_frame, self._uav, self._slot)
         state = build_state(self._gains, self._queue, self.scenario, self.observe_aged, self.normalizer)
         info = {

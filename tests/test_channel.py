@@ -12,7 +12,9 @@ from skysched.channel import (
     assemble_gains,
     bessel_j0,
     db_to_linear,
+    draw_fading,
     los_probability,
+    v2u_family_gains,
     v2u_path_loss,
     v2u_rate,
     v2u_sinr,
@@ -21,7 +23,7 @@ from skysched.channel import (
 )
 from skysched.env import FeasibleAction
 from skysched.errors import InvalidGeometryError
-from skysched.mobility import UavState, VehicleState
+from skysched.mobility import UavState, VehicleState, generate_platoon
 
 
 def j0_series(x: float, terms: int = 30) -> float:
@@ -86,6 +88,13 @@ def test_los_probability_saturates_with_large_b():
     params = ChannelParams(env_b=100.0)
     pr = los_probability(make_uav(altitude=100.0), make_vehicle(x=100.0), params)  # 45 deg > a
     assert pr == pytest.approx(1.0, abs=1e-10)
+
+
+def test_los_probability_steep_sigmoid_far_vehicle_is_zero():
+    # b*(theta - a) is about -922 here; the sigmoid must saturate, not overflow.
+    params = ChannelParams(env_b=100.0)
+    pr = los_probability(make_uav(altitude=50.0), make_vehicle(x=1000.0), params)
+    assert 0.0 <= pr <= 1e-12
 
 
 # -- path loss ----------------------------------------------------------------
@@ -242,6 +251,62 @@ def test_assemble_matches_hand_composition():
         assert gains.h_v_mk[m, 0] == pytest.approx(expected_mk, rel=1e-12)
 
 
+def per_link_gains(uav, v2u, pairs, fading, params, rng):
+    """Reference: every gain composed link by link from the scalar primitives,
+    aging the desired links first and then the interference links row-major,
+    with one scalar normal per real and imaginary part."""
+
+    def v2u_gain(g, veh):
+        return abs(g) ** 2 / db_to_linear(v2u_path_loss(uav, veh, params))
+
+    def v2v_gains(g_hat, tx, rx):
+        pl = db_to_linear(v2v_path_loss(tx, rx))
+        s_rel = max(abs(tx.speed - rx.speed), params.s_rel_min)
+        rho = aging_correlation(s_rel, params)
+        scale = math.sqrt(max(0.0, 1.0 - rho * rho) / 2.0)
+        aged = rho * g_hat + complex(rng.standard_normal() * scale, rng.standard_normal() * scale)
+        return abs(aged) ** 2 / pl, abs(g_hat) ** 2 / pl, pl, rho
+
+    desired = [v2v_gains(complex(fading.g_v_k_hat[k]), tx, rx) for k, (tx, rx) in enumerate(pairs)]
+    interference = [
+        [v2v_gains(complex(fading.g_v_mk_hat[m, k]), veh, rx) for k, (_tx, rx) in enumerate(pairs)]
+        for m, veh in enumerate(v2u)
+    ]
+    ref = {
+        "h_u_m": [v2u_gain(fading.g_u_m[m], veh) for m, veh in enumerate(v2u)],
+        "h_u_k": [v2u_gain(fading.g_u_k[k], tx) for k, (tx, _rx) in enumerate(pairs)],
+    }
+    for i, name in enumerate(("h_v{}", "h_v{}_hat", "pl_v{}_linear", "rho_v{}")):
+        ref[name.format("_k")] = [row[i] for row in desired]
+        ref[name.format("_mk")] = [[cell[i] for cell in row] for row in interference]
+    return {name: np.array(value) for name, value in ref.items()}
+
+
+@pytest.mark.parametrize("links", [4, 10])
+def test_assemble_and_reprice_match_per_link_composition(links):
+    params = ChannelParams()
+    trace = generate_platoon(3 * links, 13.89, 25.0, 200, seed=4)
+    geo_rng = np.random.default_rng(links)
+    for t in range(trace.n_slots):
+        frame = trace.slots[t]
+        v2u = list(frame[:links])
+        pairs = [(frame[links + 2 * k], frame[links + 2 * k + 1]) for k in range(links)]
+        uav = make_uav(x=frame[0].x + geo_rng.uniform(-300.0, 300.0), altitude=geo_rng.uniform(50.0, 200.0))
+        fading = draw_fading(links, links, np.random.default_rng((t, 0)))
+        rng, ref_rng = np.random.default_rng((t, 1)), np.random.default_rng((t, 1))
+        gains = assemble_gains(uav, v2u, pairs, fading, params, rng)
+        ref = per_link_gains(uav, v2u, pairs, fading, params, ref_rng)
+        for name, expected in ref.items():
+            np.testing.assert_allclose(getattr(gains, name), expected, rtol=1e-12, atol=0.0, err_msg=name)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+        # The reprice: the V2U family alone at another altitude, same fading.
+        moved = make_uav(x=uav.x, altitude=geo_rng.uniform(50.0, 200.0))
+        ref = per_link_gains(moved, v2u, pairs, fading, params, np.random.default_rng(0))
+        h_u_m, h_u_k = v2u_family_gains(moved, v2u, pairs, fading, params)
+        np.testing.assert_allclose(h_u_m, ref["h_u_m"], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(h_u_k, ref["h_u_k"], rtol=1e-12, atol=0.0)
+
+
 # -- SINR and rate ------------------------------------------------------------
 
 
@@ -282,14 +347,14 @@ def test_v2u_sinr_without_sharing():
     assert noise == pytest.approx(7.96e-15, rel=1e-3)  # independent: 10^(-174/10)*1e-3*2e6
     gains = make_gains([3.0 * noise], [1.0], [1.0], [[1.0]])
     act = action_for([[0]], [1.0], [1.0])
-    assert v2u_sinr(0, gains, act, params) == pytest.approx(3.0, rel=1e-12)
+    assert v2u_sinr(gains, act, params)[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_v2u_sinr_zero_power():
     params = ChannelParams()
     gains = make_gains([1e-12], [1.0], [1.0], [[1.0]])
     act = action_for([[0]], [0.0], [1.0])
-    assert v2u_sinr(0, gains, act, params) == 0.0
+    assert v2u_sinr(gains, act, params)[0] == 0.0
 
 
 def test_v2u_sinr_one_sharer_halves():
@@ -298,8 +363,8 @@ def test_v2u_sinr_one_sharer_halves():
     gains = make_gains([3.0 * noise], [noise], [1.0], [[1.0]])
     shared = action_for([[1]], [1.0], [1.0])
     unshared = action_for([[0]], [1.0], [1.0])
-    assert v2u_sinr(0, gains, shared, params) == pytest.approx(
-        v2u_sinr(0, gains, unshared, params) / 2.0, rel=1e-12
+    assert v2u_sinr(gains, shared, params)[0] == pytest.approx(
+        v2u_sinr(gains, unshared, params)[0] / 2.0, rel=1e-12
     )
 
 
@@ -309,10 +374,10 @@ def test_v2v_sinr_mirrors_v2u():
     gains = make_gains([1.0], [1.0], [3.0 * noise], [[noise]])
     no_share = action_for([[0]], [1.0], [1.0])
     share = action_for([[1]], [1.0], [1.0])
-    assert v2v_sinr(0, gains, no_share, params) == pytest.approx(3.0, rel=1e-12)
-    assert v2v_sinr(0, gains, share, params) == pytest.approx(1.5, rel=1e-12)
+    assert v2v_sinr(gains, no_share, params)[0] == pytest.approx(3.0, rel=1e-12)
+    assert v2v_sinr(gains, share, params)[0] == pytest.approx(1.5, rel=1e-12)
     zero_p = action_for([[0]], [1.0], [0.0])
-    assert v2v_sinr(0, gains, zero_p, params) == 0.0
+    assert v2v_sinr(gains, zero_p, params)[0] == 0.0
 
 
 def test_sinr_monotonicity():
@@ -323,11 +388,39 @@ def test_sinr_monotonicity():
         gains = make_gains([h[0]], [h[1]], [h[2]], [[h[3]]])
         p_m, p_k = rng.uniform(0.01, 0.2, size=2)
         act = action_for([[1]], [p_m], [p_k])
-        base = v2u_sinr(0, gains, act, params)
+        base = v2u_sinr(gains, act, params)[0]
         more_own = action_for([[1]], [p_m * 1.5], [p_k])
         more_interf = action_for([[1]], [p_m], [p_k * 1.5])
-        assert v2u_sinr(0, gains, more_own, params) > base
-        assert v2u_sinr(0, gains, more_interf, params) <= base
+        assert v2u_sinr(gains, more_own, params)[0] > base
+        assert v2u_sinr(gains, more_interf, params)[0] <= base
+
+
+def test_all_link_sinr_matches_per_index_formulas():
+    params = ChannelParams()
+    rng = np.random.default_rng(8)
+    m_links, k_links = 5, 3
+    for trial in range(50):
+        gains = make_gains(*(rng.uniform(0.1, 3.0, size=shape) * params.noise_power
+                             for shape in (m_links, k_links, k_links, (m_links, k_links))))
+        x = (rng.uniform(size=(k_links, m_links)) < 0.4).astype(np.int64)
+        x[:, trial % m_links] = 1  # a channel several V2V links share
+        x[trial % k_links] = 0  # a V2V link on no channel
+        act = action_for(x, rng.uniform(0.0, 0.2, m_links), rng.uniform(0.0, 0.2, k_links))
+        noise = params.noise_power
+        v2u = [
+            act.p_m[m] * gains.h_u_m[m]
+            / (sum(act.p_k[k] * gains.h_u_k[k] for k in range(k_links) if x[k, m]) + noise)
+            for m in range(m_links)
+        ]
+        v2v = [
+            act.p_k[k] * gains.h_v_k[k]
+            / (sum(act.p_m[m] * gains.h_v_mk[m, k] for m in range(m_links) if x[k, m]) + noise)
+            for k in range(k_links)
+        ]
+        np.testing.assert_allclose(v2u_sinr(gains, act, params), v2u, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(v2v_sinr(gains, act, params), v2v, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(v2u_rate(v2u_sinr(gains, act, params), params), [v2u_rate(g, params) for g in v2u],
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_v2u_rate_values():

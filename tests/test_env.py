@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -166,8 +167,8 @@ def test_outage_zero_delay_is_indicator():
     from skysched.channel import v2v_sinr
 
     for k in range(sc.k_links):
-        prob = estimate_outage(k, gains, strong, env.channel_params, sc.gamma_v_th, 500, rng)
-        gamma = v2v_sinr(k, gains, strong, env.channel_params)
+        prob = estimate_outage(gains, strong, env.channel_params, sc.gamma_v_th, 500, rng)[k]
+        gamma = v2v_sinr(gains, strong, env.channel_params)[k]
         assert prob == (1.0 if gamma < sc.gamma_v_th else 0.0)
 
 
@@ -181,7 +182,7 @@ def test_outage_zero_desired_power_is_certain():
             p_k=np.zeros(sc.k_links),
             delta_h=0.0,
         )
-        prob = estimate_outage(0, gains, act, env.channel_params, sc.gamma_v_th, 200, np.random.default_rng(0))
+        prob = estimate_outage(gains, act, env.channel_params, sc.gamma_v_th, 200, np.random.default_rng(0))[0]
         assert prob == 1.0
 
 
@@ -196,8 +197,8 @@ def test_outage_estimator_consistency():
         p_k=np.full(sc.k_links, sc.p_max / 50.0),
         delta_h=0.0,
     )
-    small = estimate_outage(0, gains, act, env.channel_params, sc.gamma_v_th, 500, np.random.default_rng(1))
-    big = estimate_outage(0, gains, act, env.channel_params, sc.gamma_v_th, 5000, np.random.default_rng(2))
+    small = estimate_outage(gains, act, env.channel_params, sc.gamma_v_th, 500, np.random.default_rng(1))[0]
+    big = estimate_outage(gains, act, env.channel_params, sc.gamma_v_th, 5000, np.random.default_rng(2))[0]
     if 0.0 < big < 1.0:
         se = np.sqrt(big * (1 - big) / 500)
         assert abs(small - big) <= 3 * se + 1e-9
@@ -205,12 +206,62 @@ def test_outage_estimator_consistency():
         assert small == big
 
 
+def per_link_outage(gains, action, params, gamma_threshold, n_samples, rng):
+    """Reference: link by link, n normals each for the desired re and im parts,
+    then for each interferer's re and im parts."""
+
+    def power_samples(rho, g_hat, pl_linear, tx_power):
+        scale = math.sqrt(max(0.0, 1.0 - rho * rho) / 2.0)
+        re = rho * g_hat.real + scale * rng.standard_normal(n_samples)
+        im = rho * g_hat.imag + scale * rng.standard_normal(n_samples)
+        return tx_power * (re * re + im * im) / pl_linear
+
+    probs = []
+    for k in range(action.x.shape[0]):
+        desired = power_samples(gains.rho_v_k[k], complex(gains.g_v_k_hat[k]), gains.pl_v_k_linear[k], action.p_k[k])
+        interference = np.zeros(n_samples)
+        for m in np.flatnonzero(action.x[k]):
+            interference += power_samples(
+                gains.rho_v_mk[m, k], complex(gains.g_v_mk_hat[m, k]), gains.pl_v_mk_linear[m, k], action.p_m[m]
+            )
+        probs.append(np.mean(desired / (interference + params.noise_power) < gamma_threshold))
+    return np.array(probs)
+
+
+@pytest.mark.parametrize("links", [4, 10])
+def test_outage_matches_per_link_reference_bit_for_bit(links):
+    env = make_env(toy_scenario(m=links, k=links), channel=ChannelParams(t_delay=0.01))
+    sc = env.scenario
+    act_rng = np.random.default_rng(3)
+    _, info = env.reset(0)
+    for slot in range(10):
+        act = amend_action(act_rng.uniform(-1.0, 1.0, sc.action_dim), sc)
+        act = FeasibleAction(x=act.x, p_m=act.p_m, p_k=act.p_k / 10.0 ** (slot % 4), delta_h=0.0)
+        rng, ref_rng = np.random.default_rng(slot), np.random.default_rng(slot)
+        probs = estimate_outage(info["gains"], act, env.channel_params, sc.gamma_v_th, 300, rng)
+        ref = per_link_outage(info["gains"], act, env.channel_params, sc.gamma_v_th, 300, ref_rng)
+        assert np.array_equal(probs, ref)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+        _, _, _, info = env.step(act_rng.uniform(-1.0, 1.0, sc.action_dim))
+
+
+def test_outage_rejects_links_without_exactly_one_channel():
+    env, gains = outage_fixture(0.01)
+    sc = env.scenario
+    x = np.eye(sc.k_links, sc.m_links, dtype=np.int64)
+    x[1] = 0
+    x[3, 0] = 1
+    act = FeasibleAction(x=x, p_m=np.full(sc.m_links, sc.p_max), p_k=np.full(sc.k_links, sc.p_max), delta_h=0.0)
+    with pytest.raises(ValueError, match=r"rows \[1, 3\]"):
+        estimate_outage(gains, act, env.channel_params, sc.gamma_v_th, 100, np.random.default_rng(0))
+
+
 def test_outage_requires_samples():
     env, gains = outage_fixture(0.01)
     sc = env.scenario
     act = amend_action(raw_action(sc, fill=0.0), sc)
     with pytest.raises(ValueError):
-        estimate_outage(0, gains, act, env.channel_params, sc.gamma_v_th, 0, np.random.default_rng(0))
+        estimate_outage(gains, act, env.channel_params, sc.gamma_v_th, 0, np.random.default_rng(0))[0]
 
 
 # -- build_state --------------------------------------------------------------
