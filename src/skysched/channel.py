@@ -9,7 +9,8 @@ are assembled.
 
 Each formula is written once over numpy arrays of links, so a slot's gains,
 SINRs and rates take one array pass per link family and J0 is evaluated once
-per link; the scalar functions are one-link wrappers over the same formulas.
+per link. Link endpoints are (id, x, y, speed) rows taken from the mobility
+trace's arrays; the scalar functions wrap the same formulas for one link.
 """
 
 from __future__ import annotations
@@ -102,11 +103,6 @@ def bessel_j0(x):
     return float(_scipy_j0(x)) if np.isscalar(x) else _scipy_j0(x)
 
 
-def _kinematics(vehicles) -> np.ndarray:
-    """(n, 4) rows of (id, x, y, speed): the array form of a vehicle sequence."""
-    return np.array([(v.id, v.x, v.y, v.speed) for v in vehicles], dtype=float).reshape(-1, 4)
-
-
 def _horizontal(uav: UavState, x, y):
     """Horizontal UAV-to-ground distance to points (x, y); scalars or arrays."""
     return np.hypot(uav.x - x, uav.y - y)
@@ -173,7 +169,8 @@ def v2u_path_loss(uav: UavState, vehicle: VehicleState, params: ChannelParams, *
 
 def v2v_path_loss(tx: VehicleState, rx: VehicleState) -> float:
     """Ground-to-ground path loss in dB of one V2V link: 44.23 + 16.7*log10(d)."""
-    return float(_v2v_path_loss(_kinematics([tx]), _kinematics([rx]))[0])
+    rows = np.array([(v.id, v.x, v.y, v.speed) for v in (tx, rx)], dtype=float)
+    return float(_v2v_path_loss(rows[:1], rows[1:])[0])
 
 
 def aging_correlation(s_rel, params: ChannelParams):
@@ -181,14 +178,17 @@ def aging_correlation(s_rel, params: ChannelParams):
     return bessel_j0(2.0 * math.pi * params.carrier_frequency * s_rel * params.t_delay / params.light_speed)
 
 
-def age_fading(g_hat: complex, s_rel: float, params: ChannelParams, rng: np.random.Generator) -> complex:
-    """Age one pre-delay fading coefficient across the feedback delay.
+def age_fading(g_hat, s_rel, params: ChannelParams, rng: np.random.Generator):
+    """Age pre-delay fading coefficients across the feedback delay: one
+    coefficient (returns a complex) or an array (broadcast against s_rel).
 
     g = rho*g_hat + delta with delta ~ CN(0, 1 - rho^2); with zero delay (or
-    zero relative speed) the coefficient is returned unchanged, bit for bit.
+    zero relative speed) a coefficient is returned unchanged, bit for bit. An
+    array draws what the same coefficients aged one by one in order would.
     """
-    s = np.array([s_rel], dtype=float)
-    return complex(_age(np.array([g_hat]), s, aging_correlation(s, params), params, rng)[0])
+    g, s = np.broadcast_arrays(np.asarray(g_hat, dtype=complex), np.asarray(s_rel, dtype=float))
+    aged = _age(g.ravel(), s.ravel(), aging_correlation(s.ravel(), params), params, rng).reshape(g.shape)
+    return complex(aged) if aged.ndim == 0 else aged
 
 
 def draw_fading(m_links: int, k_links: int, rng: np.random.Generator) -> FadingState:
@@ -207,8 +207,9 @@ def draw_fading(m_links: int, k_links: int, rng: np.random.Generator) -> FadingS
 
 def v2u_family_gains(uav: UavState, v2u_tx, v2v_pairs, fading: FadingState, params: ChannelParams):
     """(h_u_m, h_u_k): |g|^2 / PL_linear from the M V2U transmitters and the K
-    V2V transmitters to the UAV, the only gains that depend on its altitude."""
-    kin = _kinematics([*v2u_tx, *(tx for tx, _rx in v2v_pairs)])
+    V2V transmitters to the UAV, the only gains that depend on its altitude.
+    The endpoints are (id, x, y, speed) rows as in assemble_gains."""
+    kin = np.concatenate([v2u_tx, v2v_pairs[:, 0]])
     pl = db_to_linear(_v2u_path_loss(uav, _horizontal(uav, kin[:, 1], kin[:, 2]), params))
     h = np.abs(np.concatenate([fading.g_u_m, fading.g_u_k])) ** 2 / pl
     return h[: len(v2u_tx)], h[len(v2u_tx) :]
@@ -216,26 +217,26 @@ def v2u_family_gains(uav: UavState, v2u_tx, v2v_pairs, fading: FadingState, para
 
 def assemble_gains(
     uav: UavState,
-    v2u_tx: list[VehicleState],
-    v2v_pairs: list[tuple[VehicleState, VehicleState]],
+    v2u_tx: np.ndarray,
+    v2v_pairs: np.ndarray,
     fading: FadingState,
     params: ChannelParams,
     rng: np.random.Generator,
 ) -> LinkGains:
     """Compose |g|^2 / PL_linear for every link family at the given geometry.
 
-    v2u_tx holds the M V2U transmitters; v2v_pairs the K (tx, rx) vehicle
-    pairs. The V2V families form one block of K + M*K links, the desired links
-    first and then the M x K interference family row-major; the aged gains
-    apply the Gauss-Markov step to it in that order, and the pre-delay gains
-    use the raw coefficients.
+    The endpoints are (id, x, y, speed) rows: v2u_tx is (M, 4), the M V2U
+    transmitters; v2v_pairs is (K, 2, 4), the K (tx, rx) vehicle pairs. The
+    V2V families form one block of K + M*K links, the desired links first and
+    then the M x K interference family row-major; the aged gains apply the
+    Gauss-Markov step to it in that order, and the pre-delay gains use the
+    raw coefficients.
     """
     m_links, k_links = len(v2u_tx), len(v2v_pairs)
     if fading.g_u_m.shape != (m_links,) or fading.g_v_mk_hat.shape != (m_links, k_links):
         raise ValueError("fading dimensions do not match link counts")
-    pair_rx = _kinematics(rx for _tx, rx in v2v_pairs)
-    tx = np.concatenate([_kinematics(tx for tx, _rx in v2v_pairs), np.repeat(_kinematics(v2u_tx), k_links, axis=0)])
-    rx = np.concatenate([pair_rx, np.tile(pair_rx, (m_links, 1))])
+    tx = np.concatenate([v2v_pairs[:, 0], np.repeat(v2u_tx, k_links, axis=0)])
+    rx = np.tile(v2v_pairs[:, 1], (m_links + 1, 1))
     pl = db_to_linear(_v2v_path_loss(tx, rx))
     s_rel = np.maximum(np.abs(tx[:, 3] - rx[:, 3]), params.s_rel_min)
     rho = aging_correlation(s_rel, params)

@@ -13,6 +13,8 @@ running per-entry standardization frozen after a warm-up, then Q(t)/E_th.
 
 A step scores the decision over all links at once: one gain reprice for the
 V2U family, one (M,) SINR and rate array, and one (K,) outage Monte Carlo.
+Its geometry is the slot's row of the trace arrays, taken at the pairing's
+trace columns, which the env resolves once when it is built.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .channel import (
 from .energy import PowerModelParams, propulsion_power
 from .errors import EpisodeExhaustedError, NonFiniteActionError
 from .lyapunov import LyapunovConfig, VirtualQueue, queue_update
-from .mobility import MobilityTrace, UavState, VehicleState, advance_uav
+from .mobility import MobilityTrace, UavState, advance_uav
 
 
 @dataclass(frozen=True)
@@ -312,13 +314,14 @@ class VehicularEnv:
         self.outage_samples = outage_samples
         self.n_slots = min(scenario.n_slots, trace.n_slots - 1)
         self.pairing = scenario.pairing or default_pairing(trace.vehicle_ids, scenario.m_links, scenario.k_links)
-        missing = [
-            vid
-            for vid in (*self.pairing.v2u_tx, *(v for pair in self.pairing.v2v_pairs for v in pair))
-            if vid not in trace.vehicle_ids
-        ]
+        columns = {vid: i for i, vid in enumerate(trace.vehicle_ids)}
+        endpoints = (*self.pairing.v2u_tx, *(vid for pair in self.pairing.v2v_pairs for vid in pair))
+        missing = sorted(set(endpoints) - set(columns))
         if missing:
-            raise ValueError(f"pairing references vehicle ids missing from trace: {sorted(set(missing))}")
+            raise ValueError(f"pairing references vehicle ids missing from trace: {missing}")
+        # Trace columns of the M V2U transmitters and of the K (tx, rx) pairs, resolved once.
+        cols = np.array([columns[vid] for vid in endpoints], dtype=np.intp)
+        self._v2u_cols, self._pair_cols = cols[: scenario.m_links], cols[scenario.m_links :].reshape(-1, 2)
         self.normalizer = StateNormalizer(scenario.state_dim - 1, normalizer_warmup)
         self._episode = -1
         self._slot = 0
@@ -327,35 +330,18 @@ class VehicularEnv:
         self._queue: VirtualQueue | None = None
         self._gains: LinkGains | None = None
         self._fading = None
-
-    # -- geometry helpers -------------------------------------------------
-
-    def _v2u_vehicles(self, frame) -> list[VehicleState]:
-        return [frame[vid] for vid in self.pairing.v2u_tx]
-
-    def _v2v_vehicle_pairs(self, frame) -> list[tuple[VehicleState, VehicleState]]:
-        return [(frame[tx], frame[rx]) for tx, rx in self.pairing.v2v_pairs]
-
-    def _centroid_x(self, frame) -> float:
-        return float(np.mean([frame[vid].x for vid in self.pairing.v2u_tx]))
+        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     def _slot_rng(self, slot: int, stream: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, self._episode, slot, stream))
 
-    def _observe_gains(self, frame, uav: UavState, slot: int) -> LinkGains:
+    def _observe_gains(self, uav: UavState, slot: int) -> LinkGains:
+        """Draw the slot's fading and gains; keep the fading and endpoint rows for the reprice."""
         rng = self._slot_rng(slot, 0)
         self._fading = draw_fading(self.scenario.m_links, self.scenario.k_links, rng)
-        return assemble_gains(
-            uav, self._v2u_vehicles(frame), self._v2v_vehicle_pairs(frame), self._fading, self.channel_params, rng
-        )
-
-    def _reprice_v2u_family(self, gains: LinkGains, frame, uav: UavState) -> LinkGains:
-        """Rebuild only the altitude-dependent V2U-family gains at the adjusted
-        geometry, keeping the slot's fading and aging draws."""
-        h_u_m, h_u_k = v2u_family_gains(
-            uav, self._v2u_vehicles(frame), self._v2v_vehicle_pairs(frame), self._fading, self.channel_params
-        )
-        return replace(gains, h_u_m=h_u_m, h_u_k=h_u_k)
+        frame = self.trace.frame(slot)
+        self._endpoints = (frame[self._v2u_cols], frame[self._pair_cols])
+        return assemble_gains(uav, *self._endpoints, self._fading, self.channel_params, rng)
 
     # -- gym-style API -----------------------------------------------------
 
@@ -363,15 +349,14 @@ class VehicularEnv:
         self._episode = self._episode + 1 if episode is None else episode
         self._slot = 0
         self._done = False
-        frame = self.trace.frame(0)
         self._uav = UavState(
-            x=self._centroid_x(frame),
-            y=float(np.mean([frame[vid].y for vid in self.pairing.v2u_tx])),
+            x=float(np.mean(self.trace.x[0, self._v2u_cols])),
+            y=float(np.mean(self.trace.y[0, self._v2u_cols])),
             altitude=self.scenario.uav_initial_altitude,
             velocity=(self.scenario.uav_speed, 0.0, 0.0),
         )
         self._queue = VirtualQueue(0.0, self.scenario.e_th, self.scenario.slot_duration)
-        self._gains = self._observe_gains(frame, self._uav, 0)
+        self._gains = self._observe_gains(self._uav, 0)
         state = build_state(self._gains, self._queue, self.scenario, self.observe_aged, self.normalizer)
         info = {"episode": self._episode, "slot": 0, "gains": self._gains, "queue": self._queue.q, "uav": self._uav}
         return state, info
@@ -380,14 +365,14 @@ class VehicularEnv:
         if self._done:
             raise EpisodeExhaustedError(f"episode {self._episode} already ran {self.n_slots} slots")
         scenario = self.scenario
-        frame = self.trace.frame(self._slot)
         try:
             feasible = amend_action(raw_action, scenario)
         except NonFiniteActionError as exc:
             raise NonFiniteActionError(f"episode {self._episode}, slot {self._slot}: {exc}") from exc
 
         # Horizontal: fixed-magnitude step toward the V2U transmitter centroid.
-        signed_speed = math.copysign(scenario.uav_speed, self._centroid_x(frame) - self._uav.x)
+        centroid_x = np.mean(self.trace.x[self._slot, self._v2u_cols])
+        signed_speed = math.copysign(scenario.uav_speed, centroid_x - self._uav.x)
         uav_next = advance_uav(
             self._uav,
             signed_speed,
@@ -397,11 +382,11 @@ class VehicularEnv:
             h_max=scenario.h_max,
             dh_max=scenario.dh_max,
         )
-        # Rates are earned under the commanded altitude (same-slot geometry);
-        # only the V2U family depends on it.
-        realized = self._reprice_v2u_family(
-            self._gains, frame, replace(self._uav, altitude=uav_next.altitude)
-        )
+        # Rates are earned under the commanded altitude (same-slot geometry and
+        # fading); only the V2U family depends on it.
+        commanded = replace(self._uav, altitude=uav_next.altitude)
+        h_u_m, h_u_k = v2u_family_gains(commanded, *self._endpoints, self._fading, self.channel_params)
+        realized = replace(self._gains, h_u_m=h_u_m, h_u_k=h_u_k)
 
         rates = v2u_rate(v2u_sinr(realized, feasible, self.channel_params), self.channel_params)
         mean_rate = float(np.mean(rates))
@@ -431,8 +416,7 @@ class VehicularEnv:
         self._uav = uav_next
         self._slot += 1
         self._done = self._slot >= self.n_slots
-        next_frame = self.trace.frame(self._slot)
-        self._gains = self._observe_gains(next_frame, self._uav, self._slot)
+        self._gains = self._observe_gains(self._uav, self._slot)
         state = build_state(self._gains, self._queue, self.scenario, self.observe_aged, self.normalizer)
         info = {
             "episode": self._episode,

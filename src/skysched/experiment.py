@@ -93,6 +93,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds: must be distinct")
 
+    if isinstance(data.get("scenario"), dict) and "pairing" in data["scenario"]:
+        raise ConfigError("scenario.pairing: not a config key; runs use the default pairing")
     scenario = _build_block(NetworkScenario, data.get("scenario"), "scenario")
     channel = _build_block(ChannelParams, data.get("channel"), "channel")
     energy = _build_block(PowerModelParams, data.get("energy"), "energy")
@@ -183,7 +185,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     resolved = {
         "output_dir": str(output_dir),
         "seeds": list(seeds),
-        "scenario": asdict(scenario) | {"pairing": None},
+        "scenario": asdict(scenario),
         "channel": asdict(channel),
         "energy": asdict(energy),
         "lyapunov": asdict(lyapunov),
@@ -236,7 +238,7 @@ def _run_id(kind: str, point: dict) -> str:
 
 def _build_trace(cfg: ExperimentConfig) -> MobilityTrace:
     if "trace" in cfg.mobility:
-        return load_trace(cfg.mobility["trace"], slot_duration=cfg.scenario.slot_duration)
+        return load_trace(cfg.mobility["trace"])
     p = cfg.mobility["platoon"]
     return generate_platoon(
         p["n_vehicles"],

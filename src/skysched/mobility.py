@@ -1,8 +1,9 @@
 """Vehicle and UAV mobility: trace files, a synthetic platoon generator, and UAV kinematics.
 
 The highway is modeled as a 1-D axis embedded in 2-D coordinates; x advances
-along the road and y carries the lane offset. Traces are immutable after
-construction and safe to share read-only across parallel runs.
+along the road and y carries the lane offset. A trace stores each slot's
+geometry once, as read-only (T, N) position and speed arrays indexed by slot
+and vehicle column, so it is immutable and safe to share across parallel runs.
 """
 
 from __future__ import annotations
@@ -52,44 +53,56 @@ class UavState:
 
 @dataclass(frozen=True)
 class MobilityTrace:
-    """Ordered per-slot vehicle states; every slot holds the same vehicle ids.
+    """Per-slot vehicle kinematics as read-only arrays: column i of the (T, N)
+    float arrays x, y and speed is vehicle ids[i] in every slot, so a slot's
+    geometry is one row of each. Construction copies and write-locks them."""
 
-    ``slots[t]`` is a tuple of VehicleState sorted by vehicle id.
-    """
-
-    slots: tuple[tuple[VehicleState, ...], ...]
-    slot_duration: float = 1.0
+    ids: np.ndarray  # (N,) distinct vehicle ids
+    x: np.ndarray  # (T, N) along-road position, m
+    y: np.ndarray  # (T, N) lane offset, m
+    speed: np.ndarray  # (T, N) m/s, >= 0
 
     def __post_init__(self):
-        if not self.slots:
+        ids = np.array(self.ids, dtype=np.int64)
+        x, y, speed = (np.array(a, dtype=np.float64) for a in (self.x, self.y, self.speed))
+        if ids.ndim != 1 or x.ndim != 2 or not x.shape == y.shape == speed.shape == (len(x), len(ids)):
+            raise InconsistentTraceError(
+                f"ids {ids.shape}, x {x.shape}, y {y.shape} and speed {speed.shape} must be (N,) and (T, N)"
+            )
+        if len(x) == 0:
             raise InconsistentTraceError("trace has no slots")
-        ids0 = tuple(v.id for v in self.slots[0])
-        for t, frame in enumerate(self.slots):
-            ids = tuple(v.id for v in frame)
-            if ids != ids0:
-                raise InconsistentTraceError(
-                    f"slot {t}: vehicle ids {sorted(ids)} differ from slot 0 ids {sorted(ids0)}"
-                )
+        unique, counts = np.unique(ids, return_counts=True)
+        if np.any(counts > 1):
+            raise InconsistentTraceError(f"vehicle ids {unique[counts > 1].tolist()} appear more than once")
+        bad_position, bad_speed = ~(np.isfinite(x) & np.isfinite(y)), ~(np.isfinite(speed) & (speed >= 0.0))
+        if bad_position.any() or bad_speed.any():
+            t, i = np.argwhere(bad_position | bad_speed)[0]
+            rule = "position must be finite" if bad_position[t, i] else "speed must be finite and >= 0"
+            raise ValueError(f"slot {t}, vehicle {ids[i]}: {rule}")
+        for name, array in zip(("ids", "x", "y", "speed"), (ids, x, y, speed)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n_slots(self) -> int:
-        return len(self.slots)
+        return len(self.x)
 
     @property
     def vehicle_ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.slots[0])
+        return tuple(self.ids.tolist())
 
-    def frame(self, t: int) -> dict[int, VehicleState]:
-        """Vehicle states at slot t, keyed by vehicle id."""
-        return {v.id: v for v in self.slots[t]}
+    def frame(self, t: int) -> np.ndarray:
+        """Slot t as (N, 4) rows of (id, x, y, speed), the form the gain assembly takes."""
+        return np.array([self.ids, self.x[t], self.y[t], self.speed[t]]).T
 
 
-def load_trace(path, slot_duration: float = 1.0) -> MobilityTrace:
+def load_trace(path) -> MobilityTrace:
     """Parse a trace CSV (header ``slot,vehicle_id,x_m,y_m,speed_mps``).
 
     Slots must be contiguous 0..T-1 and every slot must contain the same
-    vehicle ids. Raises MalformedTraceError naming the offending line on parse
-    failures and InconsistentTraceError on structural violations.
+    vehicle ids; the trace's columns are sorted by id. Raises
+    MalformedTraceError naming the offending line on parse failures and
+    InconsistentTraceError on structural violations.
     """
     rows: dict[int, dict[int, VehicleState]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -125,19 +138,21 @@ def load_trace(path, slot_duration: float = 1.0) -> MobilityTrace:
     missing = [t for t in range(n_slots) if t not in rows]
     if missing:
         raise InconsistentTraceError(f"{path}: missing slots {missing}")
-    frames = []
+    ids = sorted(rows[0])
     for t in range(n_slots):
-        frames.append(tuple(rows[t][vid] for vid in sorted(rows[t])))
-    return MobilityTrace(slots=tuple(frames), slot_duration=slot_duration)
+        if sorted(rows[t]) != ids:
+            raise InconsistentTraceError(f"{path}: slot {t}: vehicle ids {sorted(rows[t])} differ from slot 0's {ids}")
+    kin = np.array([[(v.x, v.y, v.speed) for v in map(rows[t].get, ids)] for t in range(n_slots)])
+    return MobilityTrace(np.array(ids), kin[..., 0], kin[..., 1], kin[..., 2])
 
 
 def write_trace(trace: MobilityTrace, path) -> None:
     """Write a trace in the CSV schema accepted by load_trace (UTF-8, LF)."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
-        for t, frame in enumerate(trace.slots):
-            for v in frame:
-                fh.write(f"{t},{v.id},{v.x!r},{v.y!r},{v.speed!r}\n")
+        for t, columns in enumerate(zip(trace.x.tolist(), trace.y.tolist(), trace.speed.tolist())):
+            for vid, x, y, speed in zip(trace.vehicle_ids, *columns):
+                fh.write(f"{t},{vid},{x!r},{y!r},{speed!r}\n")
 
 
 def generate_platoon(
@@ -168,15 +183,13 @@ def generate_platoon(
     rng = np.random.default_rng(seed)
     pos_noise = rng.uniform(-1.0, 1.0, size=(n_slots, n_vehicles)) * position_jitter
     spd_noise = rng.uniform(-1.0, 1.0, size=(n_slots, n_vehicles)) * speed_jitter
-    frames = []
-    for t in range(n_slots):
-        frame = []
-        for i in range(n_vehicles):
-            x = -i * spacing + mean_speed * t * slot_duration + pos_noise[t, i]
-            speed = max(0.0, mean_speed + spd_noise[t, i])
-            frame.append(VehicleState(id=i, x=float(x), y=float(lane_y), speed=float(speed)))
-        frames.append(tuple(frame))
-    return MobilityTrace(slots=tuple(frames), slot_duration=slot_duration)
+    i, t = np.arange(n_vehicles), np.arange(n_slots)[:, None]
+    return MobilityTrace(
+        ids=i,
+        x=(-i * spacing + mean_speed * t * slot_duration) + pos_noise,
+        y=np.full((n_slots, n_vehicles), float(lane_y)),
+        speed=np.maximum(0.0, mean_speed + spd_noise),
+    )
 
 
 def advance_uav(

@@ -70,6 +70,12 @@ def make_vehicle(x=0.0, y=0.0, speed=13.89, vid=0):
     return VehicleState(id=vid, x=x, y=y, speed=speed)
 
 
+def endpoints(v2u, pairs):
+    """The (M, 4) and (K, 2, 4) (id, x, y, speed) rows that assemble_gains takes."""
+    rows = np.array([(v.id, v.x, v.y, v.speed) for v in [*v2u, *(v for pair in pairs for v in pair)]])
+    return rows[: len(v2u)], rows[len(v2u) :].reshape(-1, 2, 4)
+
+
 def test_los_probability_at_angle_equal_to_a():
     params = ChannelParams()
     horiz = 100.0
@@ -169,6 +175,21 @@ def test_age_fading_identity_with_zero_relative_speed():
     assert age_fading(g, 0.0, params, rng) == g
 
 
+def test_age_fading_array_equals_per_coefficient_loop():
+    params = ChannelParams(t_delay=0.01)
+    rng = np.random.default_rng(5)
+    g_hat = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) * math.sqrt(0.5)
+    s_rel = rng.uniform(0.0, 40.0, 40)
+    s_rel[::3] = 0.0  # unaged entries draw nothing
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    aged = age_fading(g_hat.reshape(5, 8), s_rel.reshape(5, 8), params, rng)
+    expected = [age_fading(complex(g), float(s), params, ref_rng) for g, s in zip(g_hat, s_rel)]
+    assert aged.shape == (5, 8)
+    assert aged.ravel().tolist() == expected
+    assert np.array_equal(aged.ravel()[::3], g_hat[::3])
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
 def test_age_fading_statistics():
     """Empirical correlation E[g conj(g_hat)] -> J0(arg) and Var(g) -> 1."""
     params = ChannelParams(t_delay=0.01)
@@ -181,7 +202,7 @@ def test_age_fading_statistics():
     n = 100_000
     rng = np.random.default_rng(42)
     g_hat = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(0.5)
-    aged = np.array([age_fading(complex(g), s_rel, params, rng) for g in g_hat])
+    aged = age_fading(g_hat, s_rel, params, rng)
     corr = np.real(aged * np.conj(g_hat))
     corr_se = np.std(corr, ddof=1) / math.sqrt(n)
     assert abs(np.mean(corr) - rho) < 3 * corr_se
@@ -210,7 +231,7 @@ def test_gain_is_pathloss_inverse_for_unit_fading():
     uav = make_uav(altitude=100.0)
     tx = make_vehicle(x=0.0, vid=10)
     rx = make_vehicle(x=d, vid=11)
-    gains = assemble_gains(uav, [tx], [(tx, rx)], unit_fading(1, 1), params, np.random.default_rng(0))
+    gains = assemble_gains(uav, *endpoints([tx], [(tx, rx)]), unit_fading(1, 1), params, np.random.default_rng(0))
     assert gains.h_v_k[0] == pytest.approx(0.01, rel=1e-9)
 
 
@@ -223,7 +244,7 @@ def test_zero_delay_makes_aged_equal_predelay():
     from skysched.channel import draw_fading
 
     fading = draw_fading(2, 1, rng)
-    gains = assemble_gains(uav, vehicles[:2], pairs, fading, params, rng)
+    gains = assemble_gains(uav, *endpoints(vehicles[:2], pairs), fading, params, rng)
     assert np.array_equal(gains.h_v_k, gains.h_v_k_hat)
     assert np.array_equal(gains.h_v_mk, gains.h_v_mk_hat)
 
@@ -238,7 +259,7 @@ def test_assemble_matches_hand_composition():
     from skysched.channel import draw_fading
 
     fading = draw_fading(2, 1, rng)
-    gains = assemble_gains(uav, v2u, [pair], fading, params, rng)
+    gains = assemble_gains(uav, *endpoints(v2u, [pair]), fading, params, rng)
     for m in range(2):
         expected = abs(fading.g_u_m[m]) ** 2 / db_to_linear(v2u_path_loss(uav, v2u[m], params))
         assert gains.h_u_m[m] == pytest.approx(expected, rel=1e-12)
@@ -288,13 +309,13 @@ def test_assemble_and_reprice_match_per_link_composition(links):
     trace = generate_platoon(3 * links, 13.89, 25.0, 200, seed=4)
     geo_rng = np.random.default_rng(links)
     for t in range(trace.n_slots):
-        frame = trace.slots[t]
+        frame = [VehicleState(int(vid), x, y, speed) for vid, x, y, speed in trace.frame(t).tolist()]
         v2u = list(frame[:links])
         pairs = [(frame[links + 2 * k], frame[links + 2 * k + 1]) for k in range(links)]
         uav = make_uav(x=frame[0].x + geo_rng.uniform(-300.0, 300.0), altitude=geo_rng.uniform(50.0, 200.0))
         fading = draw_fading(links, links, np.random.default_rng((t, 0)))
         rng, ref_rng = np.random.default_rng((t, 1)), np.random.default_rng((t, 1))
-        gains = assemble_gains(uav, v2u, pairs, fading, params, rng)
+        gains = assemble_gains(uav, *endpoints(v2u, pairs), fading, params, rng)
         ref = per_link_gains(uav, v2u, pairs, fading, params, ref_rng)
         for name, expected in ref.items():
             np.testing.assert_allclose(getattr(gains, name), expected, rtol=1e-12, atol=0.0, err_msg=name)
@@ -302,7 +323,7 @@ def test_assemble_and_reprice_match_per_link_composition(links):
         # The reprice: the V2U family alone at another altitude, same fading.
         moved = make_uav(x=uav.x, altitude=geo_rng.uniform(50.0, 200.0))
         ref = per_link_gains(moved, v2u, pairs, fading, params, np.random.default_rng(0))
-        h_u_m, h_u_k = v2u_family_gains(moved, v2u, pairs, fading, params)
+        h_u_m, h_u_k = v2u_family_gains(moved, *endpoints(v2u, pairs), fading, params)
         np.testing.assert_allclose(h_u_m, ref["h_u_m"], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(h_u_k, ref["h_u_k"], rtol=1e-12, atol=0.0)
 

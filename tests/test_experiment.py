@@ -1,15 +1,18 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 import yaml
 
 from skysched.channel import bessel_j0
 from skysched.cli import main as cli_main
+from skysched.env import VehicularEnv
 from skysched.errors import ConfigError
 from skysched.experiment import (
     METRICS_FIELDS,
+    _build_trace,
     emit_figure_data,
     load_config,
     parse_config,
@@ -74,6 +77,7 @@ def test_parse_minimal_config(tmp_path):
         (lambda c: c["scenario"].update(nonsense=1), "scenario"),
         (lambda c: c.update(env={"outage_samples": 0}), "outage_samples"),
         (lambda c: c.update(unknown_block={}), "unknown"),
+        (lambda c: c["scenario"].update(pairing={"v2u_tx": [0, 1, 2]}), "scenario.pairing"),
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, needle):
@@ -81,6 +85,22 @@ def test_validation_errors_name_the_field(tmp_path, mutate, needle):
     mutate(cfg)
     with pytest.raises(ConfigError, match=needle):
         parse_config(cfg)
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_builds_and_resets_an_env(path):
+    cfg = load_config(path)
+    env = VehicularEnv(cfg.scenario, cfg.channel, cfg.energy, cfg.lyapunov, _build_trace(cfg), seed=cfg.seeds[0])
+    state, info = env.reset()
+    assert state.shape == (cfg.scenario.state_dim,)
+    assert info["slot"] == 0
+
+
+def test_shipped_configs_are_found():
+    assert {p.name for p in SHIPPED_CONFIGS} >= {"toy.yaml", "full_scale.yaml", "delay_sweep.yaml"}
 
 
 def test_load_config_missing_file(tmp_path):

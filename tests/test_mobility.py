@@ -26,12 +26,35 @@ def test_load_trace_round_trip(tmp_path):
     trace = load_trace(path)
     assert trace.n_slots == 2
     assert trace.vehicle_ids == (0, 1)
-    assert trace.frame(1)[0].x == 13.89
+    assert trace.x[1, 0] == 13.89
 
     out = tmp_path / "copy.csv"
     write_trace(trace, out)
     again = load_trace(out)
-    assert again == trace
+    assert_same_trace(again, trace)
+
+
+def assert_same_trace(a, b):
+    for name in ("ids", "x", "y", "speed"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_load_write_round_trip_is_byte_identical(tmp_path):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_trace(generate_platoon(5, 13.89, 25.0, 7, seed=2, lane_y=3.5), first)
+    trace = load_trace(first)
+    write_trace(trace, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert_same_trace(load_trace(second), trace)
+
+
+def test_load_trace_names_slot_with_differing_ids(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "slot,vehicle_id,x_m,y_m,speed_mps\n0,0,0.0,0.0,10.0\n0,1,5.0,0.0,10.0\n1,0,10.0,0.0,10.0\n1,2,1.0,0.0,1.0\n"
+    )
+    with pytest.raises(InconsistentTraceError, match=r"slot 1: vehicle ids \[0, 2\]"):
+        load_trace(path)
 
 
 def test_load_trace_vehicle_missing_from_slot(tmp_path):
@@ -77,7 +100,7 @@ def test_load_trace_missing_slot(tmp_path):
 def test_platoon_determinism(tmp_path):
     a = generate_platoon(4, 13.89, 25.0, 10, seed=1)
     b = generate_platoon(4, 13.89, 25.0, 10, seed=1)
-    assert a == b
+    assert_same_trace(a, b)
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace(a, pa)
     write_trace(b, pb)
@@ -87,17 +110,30 @@ def test_platoon_determinism(tmp_path):
 def test_platoon_zero_jitter_exact_kinematics():
     trace = generate_platoon(3, 13.89, 25.0, 8, seed=5, position_jitter=0.0, speed_jitter=0.0)
     for t in range(8):
-        frame = trace.frame(t)
         for i in range(3):
-            assert frame[i].x == pytest.approx(-25.0 * i + 13.89 * t, abs=1e-12)
-            assert frame[i].speed == 13.89
+            assert trace.x[t, i] == pytest.approx(-25.0 * i + 13.89 * t, abs=1e-12)
+            assert trace.speed[t, i] == 13.89
 
 
 def test_platoon_gap_stays_within_jitter_band():
     jitter = 1.0
     trace = generate_platoon(2, 13.89, 25.0, 100, seed=3, position_jitter=jitter)
-    gaps = [trace.frame(t)[0].x - trace.frame(t)[1].x for t in range(100)]
+    gaps = [trace.x[t, 0] - trace.x[t, 1] for t in range(100)]
     assert all(25.0 - 2 * jitter <= g <= 25.0 + 2 * jitter for g in gaps)
+
+
+def test_platoon_equals_per_vehicle_composition():
+    n_vehicles, n_slots, mean_speed, spacing, dt = 6, 9, 13.89, 25.0, 0.5
+    trace = generate_platoon(n_vehicles, mean_speed, spacing, n_slots, seed=8, slot_duration=dt, lane_y=-2.0)
+    rng = np.random.default_rng(8)
+    pos_noise = rng.uniform(-1.0, 1.0, size=(n_slots, n_vehicles)) * 1.0
+    spd_noise = rng.uniform(-1.0, 1.0, size=(n_slots, n_vehicles)) * 1.0
+    for t in range(n_slots):
+        for i in range(n_vehicles):
+            assert trace.x[t, i] == -i * spacing + mean_speed * t * dt + pos_noise[t, i]
+            assert trace.speed[t, i] == max(0.0, mean_speed + spd_noise[t, i])
+            assert trace.y[t, i] == -2.0
+    assert trace.vehicle_ids == tuple(range(n_vehicles))
 
 
 def test_platoon_argument_errors():
@@ -154,7 +190,43 @@ def test_vehicle_state_invariants():
 
 
 def test_trace_requires_matching_ids():
-    v = VehicleState(id=0, x=0.0, y=0.0, speed=1.0)
-    w = VehicleState(id=1, x=1.0, y=0.0, speed=1.0)
-    with pytest.raises(InconsistentTraceError):
-        MobilityTrace(slots=((v, w), (v,)))
+    with pytest.raises(InconsistentTraceError, match=r"\(2,\)"):
+        MobilityTrace(ids=[0, 1], x=np.zeros((3, 2)), y=np.zeros((3, 1)), speed=np.ones((3, 2)))
+
+
+def trace_arrays(n_slots=3):
+    return {"ids": [4, 7], "x": np.zeros((n_slots, 2)), "y": np.zeros((n_slots, 2)), "speed": np.ones((n_slots, 2))}
+
+
+@pytest.mark.parametrize(
+    "field, where, value, needle",
+    [
+        ("x", (2, 1), float("nan"), "slot 2, vehicle 7: position"),
+        ("y", (0, 0), float("inf"), "slot 0, vehicle 4: position"),
+        ("speed", (1, 1), -0.5, "slot 1, vehicle 7: speed"),
+        ("speed", (1, 0), float("nan"), "slot 1, vehicle 4: speed"),
+    ],
+)
+def test_trace_value_errors_name_slot_and_vehicle(field, where, value, needle):
+    arrays = trace_arrays()
+    arrays[field][where] = value
+    with pytest.raises(ValueError, match=needle):
+        MobilityTrace(**arrays)
+
+
+def test_trace_structure_errors():
+    with pytest.raises(InconsistentTraceError, match=r"vehicle ids \[4\]"):
+        MobilityTrace(**(trace_arrays() | {"ids": [4, 4]}))
+    with pytest.raises(InconsistentTraceError, match="no slots"):
+        MobilityTrace(**trace_arrays(n_slots=0))
+
+
+def test_trace_arrays_are_read_only_copies():
+    arrays = trace_arrays()
+    trace = MobilityTrace(**arrays)
+    arrays["x"][0, 0] = 9.0  # the caller's array is not the trace's
+    assert trace.x[0, 0] == 0.0
+    for name in ("ids", "x", "y", "speed"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(trace, name)[0] = 1
+    assert trace.frame(1).tolist() == [[4.0, 0.0, 0.0, 1.0], [7.0, 0.0, 0.0, 1.0]]
