@@ -79,6 +79,12 @@ class AgentHyperparams:
             raise ValueError("tau must be in (0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.update_every < 1:
+            raise ValueError("update_every must be >= 1")
+        if self.power_levels < 2:
+            raise ValueError("power_levels must be >= 2")
+        if self.altitude_levels < 1:
+            raise ValueError("altitude_levels must be >= 1")
 
 
 def desk_scale_hyperparams(**overrides) -> AgentHyperparams:

@@ -158,13 +158,12 @@ def amend_action(raw: np.ndarray, scenario: NetworkScenario) -> FeasibleAction:
     if not np.isfinite(raw).all():
         bad = np.flatnonzero(~np.isfinite(raw)).tolist()
         raise NonFiniteActionError(f"raw action has non-finite entries at indices {bad}")
-    raw = np.clip(raw, -1.0, 1.0)
-    k_links, m_links = scenario.k_links, scenario.m_links
-    n_scores = k_links * m_links
-    powers = (raw[n_scores:-1] + 1.0) / 2.0 * scenario.p_max
-    delta_h = float(raw[-1]) * scenario.dh_max
+    scores, p_k, p_m, dh = split_raw_action(np.clip(raw, -1.0, 1.0), scenario)
+    k_links, m_links = scores.shape
+    half = scenario.p_max / 2.0  # halving is exact, so this is (raw+1)/2 * p_max bit for bit
+    p_k, p_m = (p_k + 1.0) * half, (p_m + 1.0) * half
 
-    rows = raw[:n_scores].reshape(k_links, m_links).tolist()
+    rows = scores.tolist()
     order = sorted(range(k_links), key=lambda k: -max(rows[k]))
     free = list(range(m_links))  # ascending, so max() keeps the lowest index on ties
     channels = []
@@ -174,7 +173,7 @@ def amend_action(raw: np.ndarray, scenario: NetworkScenario) -> FeasibleAction:
         free.remove(best)
     x = np.zeros((k_links, m_links), dtype=np.int64)
     x[order, channels] = 1
-    return FeasibleAction(x=x, p_m=powers[k_links:], p_k=powers[:k_links], delta_h=delta_h)
+    return FeasibleAction(x=x, p_m=p_m, p_k=p_k, delta_h=float(dh) * scenario.dh_max)
 
 
 def estimate_outage(

@@ -5,13 +5,18 @@ Inputs are one sample `(n,)` or a batch `(B, n)`; every layer is `a @ w.T + b`,
 so both run the same code and a 1-D input stays 1-D. backward() returns
 parameter gradients summed over the batch. Everything is float64 so
 finite-difference gradient checks hold to 1e-5 relative error.
+
+A net's parameters are one flat vector `params`: every weight, then every
+bias, in layer order; `weights` and `biases` are reshaped views of it. Gradients
+and Adam moments share the layout, so Adam, soft updates, clones and
+checkpoints are whole-vector operations. adam_step() consumes its gradient.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,8 +29,8 @@ _ACTIVATIONS = ("relu", "tanh", "identity")
 class DenseNet:
     """Fully connected net; weights[l] has shape (n_out_l, n_in_l).
 
-    version increments on every parameter mutation so stale tapes can be
-    rejected by backward().
+    Construction copies the given arrays into `params`. version increments on
+    every parameter mutation so stale tapes can be rejected by backward().
     """
 
     weights: list[np.ndarray]
@@ -33,15 +38,34 @@ class DenseNet:
     hidden_activation: str = "relu"
     output_activation: str = "identity"
     version: int = 0
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.hidden_activation not in _ACTIVATIONS or self.output_activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation; choose from {_ACTIVATIONS}")
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ValueError(f"need >= 1 layer and one bias per weight: {len(self.weights)} vs {len(self.biases)}")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight rows {w.shape[0]} != bias size {b.shape[0]}")
             if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
                 raise ValueError(f"layer {i}: input size {w.shape[1]} does not chain")
+        arrays = list(self.weights) + list(self.biases)
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        self._layout = [(slice(end - a.size, end), a.shape) for a, end in zip(arrays, ends)]
+        self.params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        self.weights, self.biases = self.views(self.params)
+
+    def views(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """(weights, biases) lists as reshaped views of a vector in the params layout."""
+        arrays = [vector[sl].reshape(shape) for sl, shape in self._layout]
+        return arrays[: len(arrays) // 2], arrays[len(arrays) // 2 :]
+
+    @classmethod
+    def zeros(cls, sizes, hidden_activation: str = "relu", output_activation: str = "identity") -> "DenseNet":
+        """A net with layer sizes `sizes` and every parameter zero."""
+        shapes = list(zip(sizes[1:], sizes[:-1]))
+        return cls([np.zeros(s) for s in shapes], [np.zeros(n) for n, _ in shapes], hidden_activation, output_activation)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -69,23 +93,20 @@ class Tape:
 
 @dataclass
 class ParamGrads:
-    """Per-parameter gradients, same shapes as the net."""
+    """Gradients as one vector in the net's params layout; d_weights and
+    d_biases are views of it shaped like the net's weights and biases."""
 
+    vector: np.ndarray
     d_weights: list[np.ndarray]
     d_biases: list[np.ndarray]
 
     def add_(self, other: "ParamGrads") -> None:
-        for dw, ow in zip(self.d_weights, other.d_weights):
-            dw += ow
-        for db, ob in zip(self.d_biases, other.d_biases):
-            db += ob
+        self.vector += other.vector
 
 
 def zero_grads(net: DenseNet) -> ParamGrads:
-    return ParamGrads(
-        d_weights=[np.zeros_like(w) for w in net.weights],
-        d_biases=[np.zeros_like(b) for b in net.biases],
-    )
+    vector = np.zeros_like(net.params)
+    return ParamGrads(vector, *net.views(vector))
 
 
 def init_dense(
@@ -166,8 +187,8 @@ def backward(net: DenseNet, tape: Tape, output_gradient: np.ndarray) -> tuple[Pa
     if dy.shape != tape.x.shape[:-1] + (net.n_out,):
         raise ValueError(f"output_gradient shape {dy.shape} != {tape.x.shape[:-1] + (net.n_out,)}")
     n_rows = 1 if dy.ndim == 1 else dy.shape[0]
-    d_weights = [None] * len(net.weights)
-    d_biases = [None] * len(net.weights)
+    vector = np.empty_like(net.params)
+    grads = ParamGrads(vector, *net.views(vector))
     last = len(net.weights) - 1
     grad = dy.reshape(n_rows, -1)
     for i in range(last, -1, -1):
@@ -175,55 +196,53 @@ def backward(net: DenseNet, tape: Tape, output_gradient: np.ndarray) -> tuple[Pa
         z, a = tape.pre[i].reshape(n_rows, -1), tape.post[i].reshape(n_rows, -1)
         dz = grad * _act_grad(z, a, kind)
         a_prev = (tape.x if i == 0 else tape.post[i - 1]).reshape(n_rows, -1)
-        d_weights[i] = dz.T @ a_prev
-        d_biases[i] = dz.sum(axis=0)
+        np.matmul(dz.T, a_prev, out=grads.d_weights[i])
+        dz.sum(axis=0, out=grads.d_biases[i])
         grad = dz @ net.weights[i]
-    return ParamGrads(d_weights, d_biases), grad.reshape(tape.x.shape)
+    return grads, grad.reshape(tape.x.shape)
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state for one DenseNet."""
+    """Bias-corrected Adam state for one DenseNet; m and v are in its params layout."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def for_net(cls, net: DenseNet, lr: float, **kw) -> "AdamState":
-        st = cls(lr=lr, **kw)
-        st.m_w = [np.zeros_like(w) for w in net.weights]
-        st.v_w = [np.zeros_like(w) for w in net.weights]
-        st.m_b = [np.zeros_like(b) for b in net.biases]
-        st.v_b = [np.zeros_like(b) for b in net.biases]
-        return st
+        return cls(np.zeros_like(net.params), np.zeros_like(net.params), lr, **kw)
 
 
 def adam_step(net: DenseNet, grads: ParamGrads, state: AdamState, *, maximize: bool = False) -> None:
-    """One in-place Adam update; maximize flips the gradient sign (ascent)."""
+    """One in-place Adam update; maximize flips the gradient sign (ascent).
+
+    Consumes grads: its vector is scratch, so one parameter-sized temporary
+    suffices. Per element: v += ((1-b2)*g)*g, p -= lr*(m/corr1) / (sqrt(v/corr2)+eps)."""
     state.step += 1
-    t = state.step
     b1, b2 = state.beta1, state.beta2
-    corr1 = 1.0 - b1**t
-    corr2 = 1.0 - b2**t
-    sign = -1.0 if maximize else 1.0
-    for params, grad_list, m_list, v_list in (
-        (net.weights, grads.d_weights, state.m_w, state.v_w),
-        (net.biases, grads.d_biases, state.m_b, state.v_b),
-    ):
-        for p, g, m, v in zip(params, grad_list, m_list, v_list):
-            g = sign * g
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+    g = grads.vector
+    if maximize:
+        np.negative(g, out=g)
+    scratch = np.multiply(g, 1.0 - b2)
+    scratch *= g
+    state.v *= b2
+    state.v += scratch
+    g *= 1.0 - b1
+    state.m *= b1
+    state.m += g
+    np.divide(state.v, 1.0 - b2**state.step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps
+    np.divide(state.m, 1.0 - b1**state.step, out=g)
+    g *= state.lr
+    g /= scratch
+    net.params -= g
     net.version += 1
 
 
@@ -233,40 +252,24 @@ def soft_update(target: DenseNet, online: DenseNet, tau: float) -> DenseNet:
         raise ValueError(f"architecture mismatch: {target.sizes} vs {online.sizes}")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    for tw, ow in zip(target.weights, online.weights):
-        tw *= 1.0 - tau
-        tw += tau * ow
-    for tb, ob in zip(target.biases, online.biases):
-        tb *= 1.0 - tau
-        tb += tau * ob
+    target.params *= 1.0 - tau
+    target.params += tau * online.params
     target.version += 1
     return target
 
 
 def clone(net: DenseNet) -> DenseNet:
-    return DenseNet(
-        weights=[w.copy() for w in net.weights],
-        biases=[b.copy() for b in net.biases],
-        hidden_activation=net.hidden_activation,
-        output_activation=net.output_activation,
-    )
+    """An independent copy at version 0 (construction copies the parameters)."""
+    return replace(net, version=0)
 
 
 def save_checkpoint(net: DenseNet, path) -> None:
-    """Write parameters plus an architecture header; round-trip is bit-exact."""
+    """Write an architecture header plus the params vector; round-trip is bit-exact."""
     header = json.dumps(
-        {
-            "sizes": list(net.sizes),
-            "hidden_activation": net.hidden_activation,
-            "output_activation": net.output_activation,
-        }
+        {"sizes": list(net.sizes), "hidden_activation": net.hidden_activation, "output_activation": net.output_activation}
     )
-    arrays = {"header": np.frombuffer(header.encode("utf-8"), dtype=np.uint8)}
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
     buf = io.BytesIO()
-    np.savez(buf, **arrays)
+    np.savez(buf, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8), params=net.params)
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
@@ -274,12 +277,9 @@ def save_checkpoint(net: DenseNet, path) -> None:
 def load_checkpoint(path) -> DenseNet:
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode("utf-8"))
-        n_layers = len(header["sizes"]) - 1
-        weights = [data[f"w{i}"].astype(np.float64, copy=True) for i in range(n_layers)]
-        biases = [data[f"b{i}"].astype(np.float64, copy=True) for i in range(n_layers)]
-    return DenseNet(
-        weights,
-        biases,
-        hidden_activation=header["hidden_activation"],
-        output_activation=header["output_activation"],
-    )
+        params = data["params"]
+    net = DenseNet.zeros(header["sizes"], header["hidden_activation"], header["output_activation"])
+    if params.shape != net.params.shape:
+        raise ValueError(f"{path}: {params.size} parameters do not fit sizes {header['sizes']}")
+    net.params[:] = params
+    return net

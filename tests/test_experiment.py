@@ -78,6 +78,9 @@ def test_parse_minimal_config(tmp_path):
         (lambda c: c.update(env={"outage_samples": 0}), "outage_samples"),
         (lambda c: c.update(unknown_block={}), "unknown"),
         (lambda c: c["scenario"].update(pairing={"v2u_tx": [0, 1, 2]}), "scenario.pairing"),
+        (lambda c: c["agents"]["hyperparams"].update(update_every=0), "agents.hyperparams: update_every"),
+        (lambda c: c["agents"]["hyperparams"].update(power_levels=1), "agents.hyperparams: power_levels"),
+        (lambda c: c["agents"]["hyperparams"].update(altitude_levels=0), "agents.hyperparams: altitude_levels"),
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, needle):

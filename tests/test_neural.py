@@ -264,3 +264,104 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a, b)
     x = np.random.default_rng(0).standard_normal(7)
     assert np.array_equal(forward_only(loaded, x), forward_only(net, x))
+
+
+# -- flat parameter layout -----------------------------------------------------
+
+DESK_DENOISER = (58, 64, 64, 64, 25)  # D3PG denoiser, desk preset, M=K=4
+FULL_CRITIC = (252, 256, 256, 256, 1)  # DDPG critic, full preset, M=K=10
+
+
+def test_dense_net_rejects_unpaired_weights_and_biases():
+    with pytest.raises(ValueError, match="one bias per weight"):
+        DenseNet(weights=[np.ones((3, 2)), np.ones((1, 3))], biases=[np.zeros(3)])
+
+
+def test_dense_net_rejects_zero_layers():
+    with pytest.raises(ValueError, match="layer"):
+        DenseNet(weights=[], biases=[])
+
+
+def test_params_vector_and_layer_views_share_memory():
+    w0, b0 = np.arange(6.0).reshape(3, 2), np.arange(3.0)
+    net = DenseNet(weights=[w0, np.ones((1, 3))], biases=[b0, np.zeros(1)])
+    assert np.array_equal(net.params, np.concatenate([w0.ravel(), np.ones(3), b0, np.zeros(1)]))
+    net.weights[1][0, 2] = 7.0
+    assert net.params[8] == 7.0
+    net.params[9] = -4.0  # first bias entry
+    assert net.biases[0][0] == -4.0
+    w0[0, 0] = 99.0  # construction copied its inputs
+    assert net.weights[0][0, 0] == 0.0 and net.params[0] == 0.0
+
+
+def reference_adam(params, grads, m, v, state, step, maximize):
+    """Per-layer Adam in the textbook operation order, on lists of arrays."""
+    b1, b2 = state.beta1, state.beta2
+    corr1, corr2 = 1.0 - b1**step, 1.0 - b2**step
+    for p, g, mm, vv in zip(params, grads, m, v):
+        g = (-1.0 if maximize else 1.0) * g
+        mm *= b1
+        mm += (1.0 - b1) * g
+        vv *= b2
+        vv += (1.0 - b2) * g * g
+        p -= state.lr * (mm / corr1) / (np.sqrt(vv / corr2) + state.eps)
+
+
+@pytest.mark.parametrize("sizes", [DESK_DENOISER, FULL_CRITIC], ids=["desk_denoiser", "full_critic"])
+@pytest.mark.parametrize("maximize", [False, True])
+def test_adam_step_equals_per_layer_reference_bit_for_bit(sizes, maximize):
+    net = make_net(sizes, seed=21)
+    ref = [a.copy() for a in net.weights + net.biases]
+    ref_m, ref_v = [np.zeros_like(a) for a in ref], [np.zeros_like(a) for a in ref]
+    adam = AdamState.for_net(net, lr=1e-3)
+    rng = np.random.default_rng(22)
+    for step in range(1, 6):
+        grads = zero_grads(net)
+        grads.vector[:] = rng.standard_normal(net.params.size)
+        reference_adam(ref, [g.copy() for g in grads.d_weights + grads.d_biases], ref_m, ref_v, adam, step, maximize)
+        adam_step(net, grads, adam, maximize=maximize)
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, ref))
+    assert adam.step == 5
+    assert np.array_equal(adam.m, np.concatenate([a.ravel() for a in ref_m]))
+    assert np.array_equal(adam.v, np.concatenate([a.ravel() for a in ref_v]))
+
+
+def test_soft_update_and_clone_equal_per_layer_reference():
+    target, online = make_net(DESK_DENOISER, seed=1), make_net(DESK_DENOISER, seed=2)
+    expected = [t * (1.0 - 0.005) + 0.005 * o for t, o in zip(target.weights + target.biases, online.weights + online.biases)]
+    soft_update(target, online, 0.005)
+    assert all(np.array_equal(a, b) for a, b in zip(target.weights + target.biases, expected))
+    twin = clone(online)
+    assert all(np.array_equal(a, b) for a, b in zip(twin.weights + twin.biases, online.weights + online.biases))
+    twin.params[:] = 0.0
+    assert np.all(twin.weights[0] == 0.0) and not np.all(online.params == 0.0)
+
+
+def test_adam_step_peak_memory_is_one_parameter_vector():
+    """Adam reuses the consumed gradient as scratch and allocates one more
+    parameter-sized temporary; a direct flat expression would hold about four."""
+    import tracemalloc
+
+    net = make_net(FULL_CRITIC, seed=3)
+    adam = AdamState.for_net(net, lr=1e-3)
+    adam_step(net, zero_grads(net), adam)  # warm up any lazy allocations
+    grads = zero_grads(net)
+    grads.vector[:] = np.random.default_rng(4).standard_normal(net.params.size)
+    tracemalloc.start()
+    try:
+        adam_step(net, grads, adam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * net.params.nbytes
+
+
+def test_load_checkpoint_rejects_vector_that_does_not_fit_sizes(tmp_path):
+    net = make_net((3, 4, 2), seed=0)
+    path = tmp_path / "net.npz"
+    save_checkpoint(net, path)
+    with np.load(path) as data:
+        header = data["header"]
+    np.savez(path, header=header, params=np.zeros(net.params.size - 1))
+    with pytest.raises(ValueError, match="net.npz"):
+        load_checkpoint(path)
