@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -28,6 +29,7 @@ from .diffusion import (
     sample_action_with_tape,
 )
 from .env import NetworkScenario, VehicularEnv
+from .errors import NonFiniteActionError, NonFiniteRewardError
 from .neural import (
     AdamState,
     DenseNet,
@@ -503,9 +505,9 @@ def make_agent(
 # -- training loop -----------------------------------------------------------
 
 
-@dataclass
-class SlotRecord:
-    """One slot's emitted metrics (episode == n_episodes marks evaluation)."""
+class SlotRecord(NamedTuple):
+    """One slot's emitted metrics (episode == n_episodes marks evaluation); the
+    fields but the last are the metrics.csv / eval.csv columns, in order."""
 
     run_id: str
     seed: int
@@ -537,14 +539,14 @@ def train(
     *,
     sink=None,
     run_id: str = "run",
-    eval_episode: bool = True,
 ) -> TrainResult:
     """Run episodes x slots of act / step / store / (after warmup) update, with
     soft target updates inside each agent update, then one deterministic
     evaluation episode (recorded with episode index == episodes).
 
     Timing covers policy inference only. Identical (env seed, agent seed,
-    config) reproduce the metric series exactly.
+    config) reproduce the metric series exactly. Non-finite action or reward
+    errors are re-raised with the run_id and seed prefixed.
     """
     if agent_kind == "d3pg_wcsi" and env.observe_aged:
         raise ValueError("d3pg_wcsi requires an env constructed with observe_aged=False")
@@ -553,10 +555,8 @@ def train(
     records: list[SlotRecord] = []
     eval_records: list[SlotRecord] = []
     episode_rewards: list[float] = []
-    global_step = 0
 
     def run_episode(ep: int, evaluation: bool) -> float:
-        nonlocal global_step
         state, info = env.reset(ep)
         cum_energy = 0.0
         ep_reward = 0.0
@@ -567,8 +567,7 @@ def train(
             next_state, rb, done, info = env.step(action)
             if not evaluation:
                 agent.observe(state, action, rb.reward, next_state)
-                global_step += 1
-                if global_step >= hp.warmup_steps and global_step % hp.update_every == 0:
+                if agent.train_steps >= hp.warmup_steps and agent.train_steps % hp.update_every == 0:
                     agent.update()
             cum_energy += rb.power * dt
             record = SlotRecord(
@@ -591,8 +590,10 @@ def train(
             state = next_state
         return ep_reward
 
-    for ep in range(episodes):
-        episode_rewards.append(run_episode(ep, evaluation=False))
-    if eval_episode:
+    try:
+        for ep in range(episodes):
+            episode_rewards.append(run_episode(ep, evaluation=False))
         run_episode(episodes, evaluation=True)
+    except (NonFiniteActionError, NonFiniteRewardError) as exc:
+        raise type(exc)(f"run {run_id}, seed {seed}: {exc}") from exc
     return TrainResult(episode_rewards=episode_rewards, records=records, agent=agent, eval_records=eval_records)

@@ -7,7 +7,7 @@ vector is squashed once by tanh into [-1, 1]. Step indices are 1-based
 (arrays store index i at position i-1). The samplers take one state (n,) or
 a batch (B, n) and run the same code for both. The forward-process helpers
 exist for testing the algebra; training differentiates through the reverse
-chain.
+chain, and chain_backward returns one gradient vector in the params layout.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import DenseNet, ParamGrads, Tape, backward, forward, forward_only, zero_grads
+from .neural import DenseNet, Tape, backward, forward, forward_only
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,6 @@ def _reverse_chain(
     rng: np.random.Generator,
     tapes: list[Tape] | None,
     *,
-    deterministic_final: bool,
     evaluation: bool,
 ) -> np.ndarray:
     """Reverse chain over one state (n,) or a batch (B, n); returns pi_0 and
@@ -102,9 +101,7 @@ def _reverse_chain(
     consumes the rng exactly like B single-state chains.
     """
     steps, dim = schedule.steps, denoiser.n_out
-    noisy = [] if evaluation else [
-        i for i in range(steps, 0, -1) if schedule.beta_bar[i - 1] > 0.0 and not (i == 1 and deterministic_final)
-    ]
+    noisy = [] if evaluation else [i for i in range(steps, 0, -1) if schedule.beta_bar[i - 1] > 0.0]
     lead = np.shape(state)[:-1]
     draws = rng.standard_normal(lead + (1 + len(noisy), dim))
     # Denoiser input (pi, one-hot step, state): per step only pi and the hot entry change.
@@ -133,20 +130,17 @@ def sample_action(
     schedule: DiffusionSchedule,
     rng: np.random.Generator,
     *,
-    deterministic_final: bool = True,
     evaluation: bool = False,
 ) -> np.ndarray:
     """Run the reverse chain from Gaussian noise; returns tanh(pi_0) in [-1,1],
     one action per state row.
 
     In evaluation mode only the initial pi_I is drawn and every reverse step
-    uses its mean; in training mode intermediate steps add sqrt(beta_bar_i)
-    noise (the final step adds none when deterministic_final, and beta_bar_1
-    is zero regardless).
+    uses its mean; in training mode each step with beta_bar_i > 0 adds
+    sqrt(beta_bar_i) noise, which leaves the final step (beta_bar_1 = 0)
+    noise-free.
     """
-    pi_0 = _reverse_chain(
-        denoiser, state, schedule, rng, None, deterministic_final=deterministic_final, evaluation=evaluation
-    )
+    pi_0 = _reverse_chain(denoiser, state, schedule, rng, None, evaluation=evaluation)
     return np.tanh(pi_0)
 
 
@@ -163,14 +157,10 @@ def sample_action_with_tape(
     state: np.ndarray,
     schedule: DiffusionSchedule,
     rng: np.random.Generator,
-    *,
-    deterministic_final: bool = True,
 ) -> tuple[np.ndarray, ChainTape]:
-    """Like sample_action but records tapes so chain_backward can run."""
+    """Like training-mode sample_action but records tapes so chain_backward can run."""
     tapes: list[Tape] = []
-    pi_0 = _reverse_chain(
-        denoiser, state, schedule, rng, tapes, deterministic_final=deterministic_final, evaluation=False
-    )
+    pi_0 = _reverse_chain(denoiser, state, schedule, rng, tapes, evaluation=False)
     action = np.tanh(pi_0)
     return action, ChainTape(tapes=tapes, action=action)
 
@@ -180,12 +170,13 @@ def chain_backward(
     schedule: DiffusionSchedule,
     chain: ChainTape,
     d_action: np.ndarray,
-) -> ParamGrads:
+) -> np.ndarray:
     """Backpropagate d_action through tanh and all reverse steps to the
-    denoiser parameters (reparameterized; noise draws are constants). For a
-    batched chain the gradients are summed over its rows."""
+    denoiser parameters (reparameterized; noise draws are constants); returns
+    the gradient vector in the denoiser's params layout. For a batched chain
+    the gradients are summed over its rows."""
     dim = denoiser.n_out
-    grads = zero_grads(denoiser)
+    grads = np.zeros_like(denoiser.params)
     d_pi = np.asarray(d_action, dtype=np.float64) * (1.0 - chain.action * chain.action)
     # chain.tapes[idx] corresponds to step i = steps - idx; walk back up.
     for idx in range(len(chain.tapes) - 1, -1, -1):
@@ -195,6 +186,6 @@ def chain_backward(
         coeff = (1.0 - phi_i) / math.sqrt(1.0 - schedule.phi_bar[i - 1])
         d_eps = -(coeff / sqrt_phi) * d_pi
         step_grads, d_input = backward(denoiser, chain.tapes[idx], d_eps)
-        grads.add_(step_grads)
+        grads += step_grads
         d_pi = d_pi / sqrt_phi + d_input[..., :dim]
     return grads

@@ -35,8 +35,8 @@ from .channel import (
     v2v_sinr,
 )
 from .energy import PowerModelParams, propulsion_power
-from .errors import EpisodeExhaustedError, NonFiniteActionError
-from .lyapunov import LyapunovConfig, VirtualQueue, queue_update
+from .errors import EpisodeExhaustedError, NonFiniteActionError, NonFiniteRewardError
+from .lyapunov import LyapunovConfig, VirtualQueue, drift_plus_penalty_objective, queue_update
 from .mobility import MobilityTrace, UavState, advance_uav
 
 
@@ -248,13 +248,6 @@ class StateNormalizer:
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std()
 
-    def copy(self) -> "StateNormalizer":
-        out = StateNormalizer(self.dim, self.freeze_after)
-        out.count = self.count
-        out.mean = self.mean.copy()
-        out._m2 = self._m2.copy()
-        return out
-
 
 def build_state(
     gains: LinkGains,
@@ -262,18 +255,16 @@ def build_state(
     scenario: NetworkScenario,
     observe_aged: bool,
     normalizer: StateNormalizer,
-    *,
-    update_normalizer: bool = True,
 ) -> np.ndarray:
     """Flat state: [h_u_m, h_u_k, h_v_mk (row-major by m), h_v_k] as
-    standardized log10 gains, then Q/E_th. With observe_aged off the V2V
-    families come from the pre-delay fading (the delay-blind observation)."""
+    standardized log10 gains, then Q/E_th. The log gains update the normalizer
+    before it standardizes them. With observe_aged off the V2V families come
+    from the pre-delay fading (the delay-blind observation)."""
     v_mk = gains.h_v_mk if observe_aged else gains.h_v_mk_hat
     v_k = gains.h_v_k if observe_aged else gains.h_v_k_hat
     raw = np.concatenate([gains.h_u_m, gains.h_u_k, v_mk.ravel(), v_k])
     logs = np.log10(raw)
-    if update_normalizer:
-        normalizer.observe(logs)
+    normalizer.observe(logs)
     z = normalizer.normalize(logs)
     return np.concatenate([z, [queue.q / scenario.e_th]])
 
@@ -398,14 +389,15 @@ class VehicularEnv:
 
         power = propulsion_power(uav_next.velocity, self.power_params)
         cfg = self.lyapunov_cfg
-        rate_term = cfg.v_weight * mean_rate * cfg.rate_scale
-        queue_term = self._queue.q * (power * scenario.slot_duration - scenario.e_th)
         penalty = violations * cfg.gamma_pen
+        reward = -drift_plus_penalty_objective(self._queue, power, mean_rate, cfg) - penalty
+        if not math.isfinite(reward):
+            raise NonFiniteRewardError(f"episode {self._episode}, slot {self._slot}: reward {reward} is not finite")
         breakdown = RewardBreakdown(
-            reward=rate_term - queue_term - penalty,
+            reward=reward,
             mean_v2u_rate=mean_rate,
-            rate_term=rate_term,
-            queue_term=queue_term,
+            rate_term=cfg.v_weight * mean_rate * cfg.rate_scale,
+            queue_term=self._queue.q * (power * scenario.slot_duration - scenario.e_th),
             outage_violations=violations,
             penalty_applied=penalty,
             power=power,

@@ -25,6 +25,10 @@ class NonFiniteActionError(SkySchedError):
     """A raw action holds NaN or infinite entries; the message names them."""
 
 
+class NonFiniteRewardError(SkySchedError):
+    """A slot's reward is NaN or infinite; the message names the episode and slot."""
+
+
 class EpisodeExhaustedError(SkySchedError):
     """step() called after the episode's final slot."""
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import yaml
 
-from .agents import AGENT_KINDS, AgentHyperparams, desk_scale_hyperparams, train
+from .agents import AGENT_KINDS, AgentHyperparams, SlotRecord, desk_scale_hyperparams, train
 from .channel import ChannelParams, bessel_j0
 from .energy import PowerModelParams
 from .env import NetworkScenario, VehicularEnv
@@ -32,11 +32,8 @@ from .mobility import MobilityTrace, generate_platoon, load_trace
 SWEEP_KEYS = ("k_links", "v_weight", "t_delay", "denoise_steps")
 FIGURE_KINDS = ("reward_curve", "rate_vs_K", "rate_vs_delay", "energy_vs_slot", "tradeoff_vs_V", "runtime_table")
 
-METRICS_FIELDS = (
-    "run_id", "seed", "episode", "slot", "reward", "mean_v2u_rate_mbps",
-    "energy_j", "moving_avg_energy_j", "queue_j", "outage_violations",
-)
-TIMING_FIELDS = ("run_id", "seed", "episode", "slot", "inference_ms")
+METRICS_FIELDS = SlotRecord._fields[:-1]
+TIMING_FIELDS = SlotRecord._fields[:4] + SlotRecord._fields[-1:]
 
 
 @dataclass
@@ -334,11 +331,11 @@ def run_experiment(cfg: ExperimentConfig, *, progress=None) -> ExperimentResult:
                 )
                 result = train(kind, env, hp, seed, cfg.episodes, run_id=run_id)
                 for rec in result.records:
-                    metric_rows.append(_metric_row(rec))
-                    timing_rows.append((rec.run_id, rec.seed, rec.episode, rec.slot, rec.inference_ms))
+                    metric_rows.append(rec[:-1])
+                    timing_rows.append(rec[:4] + rec[-1:])
                 for rec in result.eval_records:
-                    eval_rows.append(_metric_row(rec))
-                    timing_rows.append((rec.run_id, rec.seed, rec.episode, rec.slot, rec.inference_ms))
+                    eval_rows.append(rec[:-1])
+                    timing_rows.append(rec[:4] + rec[-1:])
                 per_seed[str(seed)] = _seed_summary(result, scenario)
             mean_summary = {
                 key: _mean(stats[key] for stats in per_seed.values()) for key in next(iter(per_seed.values()))
@@ -373,13 +370,6 @@ def run_experiment(cfg: ExperimentConfig, *, progress=None) -> ExperimentResult:
         timing_path=timing_path,
         summary_path=summary_path,
         summary=summary,
-    )
-
-
-def _metric_row(rec) -> tuple:
-    return (
-        rec.run_id, rec.seed, rec.episode, rec.slot, rec.reward, rec.mean_v2u_rate_mbps,
-        rec.energy_j, rec.moving_avg_energy_j, rec.queue_j, rec.outage_violations,
     )
 
 

@@ -8,6 +8,7 @@ drift inequalities and must hold on every observed transition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -20,8 +21,8 @@ class VirtualQueue:
     slot_duration: float = 1.0  # s
 
     def __post_init__(self):
-        if self.q < 0.0:
-            raise ValueError(f"queue backlog must be >= 0, got {self.q}")
+        if not (math.isfinite(self.q) and self.q >= 0.0):
+            raise ValueError(f"queue backlog must be finite and >= 0, got {self.q}")
         if self.e_threshold <= 0.0 or self.slot_duration <= 0.0:
             raise ValueError("e_threshold and slot_duration must be positive")
 
@@ -65,9 +66,9 @@ def lyapunov_value(queue: VirtualQueue) -> float:
 def drift_plus_penalty_objective(
     queue: VirtualQueue, power: float, mean_v2u_rate: float, cfg: LyapunovConfig
 ) -> float:
-    """Per-slot minimand Q*(P*dt - E_th) - V*rate; its negation plus the outage
-    penalty is the RL reward. mean_v2u_rate is in bits/s and is scaled by
-    cfg.rate_scale here."""
+    """Per-slot minimand Q*(P*dt - E_th) - V*rate; VehicularEnv.step's reward is
+    its negation minus the outage penalty. mean_v2u_rate is in bits/s and is
+    scaled by cfg.rate_scale here."""
     queue_term = queue.q * (power * queue.slot_duration - queue.e_threshold)
     return queue_term - cfg.v_weight * mean_v2u_rate * cfg.rate_scale
 

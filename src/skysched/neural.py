@@ -2,14 +2,15 @@
 Adam updates, soft target updates, and bit-exact checkpoints.
 
 Inputs are one sample `(n,)` or a batch `(B, n)`; every layer is `a @ w.T + b`,
-so both run the same code and a 1-D input stays 1-D. backward() returns
-parameter gradients summed over the batch. Everything is float64 so
-finite-difference gradient checks hold to 1e-5 relative error.
+so both run the same code and a 1-D input stays 1-D. Everything is float64
+so finite-difference gradient checks hold to 1e-5 relative error.
 
 A net's parameters are one flat vector `params`: every weight, then every
-bias, in layer order; `weights` and `biases` are reshaped views of it. Gradients
-and Adam moments share the layout, so Adam, soft updates, clones and
-checkpoints are whole-vector operations. adam_step() consumes its gradient.
+bias, in layer order; `weights` and `biases` are reshaped views of it.
+backward() returns the parameter gradient, summed over the batch, as a plain
+vector in the same layout (`net.views(grad)` splits it per layer), and Adam
+moments share it too, so Adam, soft updates, clones and checkpoints are
+whole-vector operations. adam_step() consumes its gradient.
 """
 
 from __future__ import annotations
@@ -91,24 +92,6 @@ class Tape:
     post: list[np.ndarray]  # post-activation a per layer
 
 
-@dataclass
-class ParamGrads:
-    """Gradients as one vector in the net's params layout; d_weights and
-    d_biases are views of it shaped like the net's weights and biases."""
-
-    vector: np.ndarray
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-
-    def add_(self, other: "ParamGrads") -> None:
-        self.vector += other.vector
-
-
-def zero_grads(net: DenseNet) -> ParamGrads:
-    vector = np.zeros_like(net.params)
-    return ParamGrads(vector, *net.views(vector))
-
-
 def init_dense(
     sizes: tuple[int, ...],
     rng: np.random.Generator,
@@ -178,17 +161,17 @@ def forward_only(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def backward(net: DenseNet, tape: Tape, output_gradient: np.ndarray) -> tuple[ParamGrads, np.ndarray]:
-    """Exact reverse-mode gradients of forward(); returns (param grads summed
-    over the batch, d_input shaped like the tape's input)."""
+def backward(net: DenseNet, tape: Tape, output_gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact reverse-mode gradients of forward(); returns (parameter gradient
+    vector summed over the batch, d_input shaped like the tape's input)."""
     if tape.net_id != id(net) or tape.net_version != net.version:
         raise InvalidStateError("tape is stale: parameters changed since forward()")
     dy = np.asarray(output_gradient, dtype=np.float64)
     if dy.shape != tape.x.shape[:-1] + (net.n_out,):
         raise ValueError(f"output_gradient shape {dy.shape} != {tape.x.shape[:-1] + (net.n_out,)}")
     n_rows = 1 if dy.ndim == 1 else dy.shape[0]
-    vector = np.empty_like(net.params)
-    grads = ParamGrads(vector, *net.views(vector))
+    grads = np.empty_like(net.params)
+    d_weights, d_biases = net.views(grads)
     last = len(net.weights) - 1
     grad = dy.reshape(n_rows, -1)
     for i in range(last, -1, -1):
@@ -196,8 +179,8 @@ def backward(net: DenseNet, tape: Tape, output_gradient: np.ndarray) -> tuple[Pa
         z, a = tape.pre[i].reshape(n_rows, -1), tape.post[i].reshape(n_rows, -1)
         dz = grad * _act_grad(z, a, kind)
         a_prev = (tape.x if i == 0 else tape.post[i - 1]).reshape(n_rows, -1)
-        np.matmul(dz.T, a_prev, out=grads.d_weights[i])
-        dz.sum(axis=0, out=grads.d_biases[i])
+        np.matmul(dz.T, a_prev, out=d_weights[i])
+        dz.sum(axis=0, out=d_biases[i])
         grad = dz @ net.weights[i]
     return grads, grad.reshape(tape.x.shape)
 
@@ -219,14 +202,14 @@ class AdamState:
         return cls(np.zeros_like(net.params), np.zeros_like(net.params), lr, **kw)
 
 
-def adam_step(net: DenseNet, grads: ParamGrads, state: AdamState, *, maximize: bool = False) -> None:
-    """One in-place Adam update; maximize flips the gradient sign (ascent).
+def adam_step(net: DenseNet, g: np.ndarray, state: AdamState, *, maximize: bool = False) -> None:
+    """One in-place Adam update from gradient vector g in the params layout;
+    maximize flips the gradient sign (ascent).
 
-    Consumes grads: its vector is scratch, so one parameter-sized temporary
-    suffices. Per element: v += ((1-b2)*g)*g, p -= lr*(m/corr1) / (sqrt(v/corr2)+eps)."""
+    Consumes g: it is scratch, so one parameter-sized temporary suffices.
+    Per element: v += ((1-b2)*g)*g, p -= lr*(m/corr1) / (sqrt(v/corr2)+eps)."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
-    g = grads.vector
     if maximize:
         np.negative(g, out=g)
     scratch = np.multiply(g, 1.0 - b2)

@@ -302,7 +302,7 @@ def test_ddqn_target_reduces_to_dqn_when_nets_equal():
 def test_train_warmup_gates_learning():
     env = toy_env(n_slots=5)
     hp = tiny_hp(warmup_steps=6)
-    result = train("d3pg", env, hp, seed=0, episodes=1, eval_episode=False)
+    result = train("d3pg", env, hp, seed=0, episodes=1)
     agent = result.agent
     assert len(agent.buffer) == 5
     assert agent.critic_adam.step == 0
@@ -312,7 +312,7 @@ def test_train_warmup_gates_learning():
 def test_train_updates_after_warmup():
     env = toy_env(n_slots=8)
     hp = tiny_hp(warmup_steps=4)
-    result = train("d3pg", env, hp, seed=0, episodes=1, eval_episode=False)
+    result = train("d3pg", env, hp, seed=0, episodes=1)
     assert result.agent.critic_adam.step == 5  # slots 4..8
 
 
@@ -380,7 +380,7 @@ def test_hddqn_actions_follow_hungarian_and_grids():
 
 def test_checkpoint_round_trip_for_agents(tmp_path):
     env = toy_env(seed=5, n_slots=6)
-    result = train("d3pg", env, tiny_hp(), seed=5, episodes=1, eval_episode=False)
+    result = train("d3pg", env, tiny_hp(), seed=5, episodes=1)
     agent = result.agent
     agent.save_checkpoint(tmp_path)
     state, info = env.reset(99)
@@ -402,7 +402,7 @@ def test_actor_critic_kinds_and_checkpoint_names(tmp_path):
 
 def test_evaluation_policy_is_pure_function_of_state():
     env = toy_env(seed=6, n_slots=6)
-    result = train("d3pg", env, tiny_hp(), seed=6, episodes=1, eval_episode=False)
+    result = train("d3pg", env, tiny_hp(), seed=6, episodes=1)
     agent = result.agent
     state, info = env.reset(42)
     a1 = agent.act(state, info, evaluation=True)

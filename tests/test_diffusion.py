@@ -160,9 +160,21 @@ def test_sample_action_single_step_closed_form():
     net = make_denoiser(4, 1, 6, zero=True)
     state = np.zeros(6)
     rng = np.random.default_rng(5)
-    action = sample_action(net, state, sched, rng, deterministic_final=True)
+    action = sample_action(net, state, sched, rng)
     pi_1 = np.random.default_rng(5).standard_normal(4)
     assert np.allclose(action, np.tanh(pi_1 / math.sqrt(sched.phi[0])), rtol=1e-15)
+
+
+@pytest.mark.parametrize("steps", [1, 4, 8])
+def test_training_chain_draws_no_noise_at_step_one(steps):
+    """A training-mode chain draws pi_I plus one noise vector per step
+    I..2 and none at step 1, so the rng ends where (I, dim) draws leave it."""
+    sched = build_schedule(steps, 0.1, 10.0)
+    net = make_denoiser(5, steps, 7, seed=9)
+    rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+    sample_action(net, np.zeros(7), sched, rng)
+    reference.standard_normal((steps, 5))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_sample_action_range_and_dimension():
@@ -225,7 +237,7 @@ def check_chain_gradient(state):
         down = float(np.sum(run()[0]))
         net.weights[layer][r, c] = orig
         fd = (up - down) / (2.0 * h)
-        analytic = grads.d_weights[layer][r, c]
+        analytic = net.views(grads)[0][layer][r, c]
         assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
@@ -254,17 +266,13 @@ def test_batched_chain_backward_equals_single_state_chains():
     rng_batch, rng_rows = np.random.default_rng(20), np.random.default_rng(20)
     action, chain = sample_action_with_tape(net, states, sched, rng_batch)
     grads = chain_backward(net, sched, chain, d_actions)
+    summed = np.zeros_like(net.params)
     for row, (state, d_action) in enumerate(zip(states, d_actions)):
         action_row, chain_row = sample_action_with_tape(net, state, sched, rng_rows)
         assert np.allclose(action[row], action_row, rtol=0, atol=1e-12)
-        grads_row = chain_backward(net, sched, chain_row, d_action)
-        if row == 0:
-            summed = grads_row
-        else:
-            summed.add_(grads_row)
+        summed += chain_backward(net, sched, chain_row, d_action)
     assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
-    for batched, looped in zip(grads.d_weights + grads.d_biases, summed.d_weights + summed.d_biases):
-        assert np.allclose(batched, looped, rtol=0, atol=1e-12)
+    assert np.allclose(grads, summed, rtol=0, atol=1e-12)
 
 
 def test_single_state_sampler_matches_row_of_one():

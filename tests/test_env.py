@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -279,9 +280,8 @@ def test_state_flag_identical_with_zero_delay():
     _, info = env.reset(0)
     gains = info["gains"]
     queue = VirtualQueue(0.0, env.scenario.e_th, 1.0)
-    base = env.normalizer.copy()
-    aged = build_state(gains, queue, env.scenario, True, base.copy(), update_normalizer=False)
-    blind = build_state(gains, queue, env.scenario, False, base.copy(), update_normalizer=False)
+    aged = build_state(gains, queue, env.scenario, True, copy.deepcopy(env.normalizer))
+    blind = build_state(gains, queue, env.scenario, False, copy.deepcopy(env.normalizer))
     assert np.array_equal(aged, blind)
 
 
@@ -291,9 +291,8 @@ def test_state_flag_differs_only_on_v2v_entries_with_delay():
     gains = info["gains"]
     sc = env.scenario
     queue = VirtualQueue(0.0, sc.e_th, 1.0)
-    base = env.normalizer.copy()
-    aged = build_state(gains, queue, sc, True, base.copy(), update_normalizer=False)
-    blind = build_state(gains, queue, sc, False, base.copy(), update_normalizer=False)
+    aged = build_state(gains, queue, sc, True, copy.deepcopy(env.normalizer))
+    blind = build_state(gains, queue, sc, False, copy.deepcopy(env.normalizer))
     v2u_len = sc.m_links + sc.k_links
     assert np.array_equal(aged[:v2u_len], blind[:v2u_len])
     assert aged[-1] == blind[-1]

@@ -6,12 +6,12 @@ from pathlib import Path
 import pytest
 import yaml
 
+from skysched import agents, env as env_module
 from skysched.channel import bessel_j0
 from skysched.cli import main as cli_main
 from skysched.env import VehicularEnv
-from skysched.errors import ConfigError
+from skysched.errors import ConfigError, NonFiniteActionError, NonFiniteRewardError
 from skysched.experiment import (
-    METRICS_FIELDS,
     _build_trace,
     emit_figure_data,
     load_config,
@@ -123,9 +123,15 @@ def test_load_config_trace_file_checked(tmp_path):
 def test_run_writes_expected_schema(tmp_path):
     cfg = parse_config(base_config(tmp_path / "out"))
     result = run_experiment(cfg)
+    metrics_header = (
+        "run_id,seed,episode,slot,reward,mean_v2u_rate_mbps,energy_j,moving_avg_energy_j,queue_j,outage_violations\n"
+    )
+    with open(result.metrics_path) as fh_metrics, open(result.eval_path) as fh_eval, open(result.timing_path) as fh_timing:
+        assert fh_metrics.readline() == metrics_header
+        assert fh_eval.readline() == metrics_header
+        assert fh_timing.readline() == "run_id,seed,episode,slot,inference_ms\n"
     rows = read_rows(result.metrics_path)
     assert len(rows) == 2 * 8  # episodes * slots, training rows only
-    assert tuple(rows[0].keys()) == METRICS_FIELDS
     eval_rows = read_rows(result.eval_path)
     assert len(eval_rows) == 8
     assert all(int(r["episode"]) == 2 for r in eval_rows)
@@ -134,6 +140,33 @@ def test_run_writes_expected_schema(tmp_path):
     assert "random" in summary["runs"]
     timing = read_rows(result.timing_path)
     assert len(timing) == 3 * 8
+
+
+def _nan_on_call(fn, call):
+    """fn, except that its result is multiplied by NaN on the given call."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return out * math.nan if len(calls) == call else out
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "owner, name, error",
+    [(env_module, "propulsion_power", NonFiniteRewardError), (agents.RandomAgent, "act", NonFiniteActionError)],
+    ids=["reward", "action"],
+)
+def test_run_fails_loudly_naming_run_episode_and_slot(tmp_path, monkeypatch, owner, name, error):
+    """A NaN flight power (so a NaN reward) or a NaN action in the 4th slot
+    stops the run with an error naming the run, seed, episode and slot."""
+    monkeypatch.setattr(owner, name, _nan_on_call(getattr(owner, name), 4))
+    cfg = parse_config(base_config(tmp_path / "out"))
+    with pytest.raises(error, match="run random, seed 0: episode 0, slot 3"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 def test_summary_means_are_seed_averages(tmp_path):

@@ -38,6 +38,12 @@ def test_queue_rejects_negative_backlog():
         VirtualQueue(q=-1.0)
 
 
+@pytest.mark.parametrize("backlog", [float("nan"), float("inf")])
+def test_queue_rejects_non_finite_backlog(backlog):
+    with pytest.raises(ValueError, match="finite"):
+        VirtualQueue(q=backlog)
+
+
 def test_lyapunov_value():
     assert lyapunov_value(q(0.0)) == 0.0
     assert lyapunov_value(q(10.0)) == 50.0

@@ -14,7 +14,6 @@ from skysched.neural import (
     load_checkpoint,
     save_checkpoint,
     soft_update,
-    zero_grads,
 )
 
 
@@ -104,16 +103,15 @@ def test_batched_pass_equals_sum_of_single_rows(output_activation):
     grads, dx = backward(net, tape, dys)
     assert y.shape == (9, 3) and dx.shape == (9, 6)
     assert np.allclose(forward_only(net, xs), y, rtol=0, atol=1e-12)
-    summed = zero_grads(net)
+    summed = np.zeros_like(net.params)
     for row, (x, dy) in enumerate(zip(xs, dys)):
         y_row, tape_row = forward(net, x)
         grads_row, dx_row = backward(net, tape_row, dy)
         assert np.allclose(y[row], y_row, rtol=0, atol=1e-12)
         assert np.allclose(dx[row], dx_row, rtol=0, atol=1e-12)
-        summed.add_(grads_row)
-    for batched, looped in zip(grads.d_weights + grads.d_biases, summed.d_weights + summed.d_biases):
-        assert batched.shape == looped.shape
-        assert np.allclose(batched, looped, rtol=0, atol=1e-12)
+        summed += grads_row
+    assert grads.shape == net.params.shape
+    assert np.allclose(grads, summed, rtol=0, atol=1e-12)
 
 
 def test_backward_rejects_gradient_of_other_batch_size():
@@ -131,7 +129,8 @@ def test_backward_linear_closed_form():
     x = np.array([2.0])
     y, tape = forward(net, x)
     grads, dx = backward(net, tape, np.array([1.0]))
-    assert grads.d_weights[0][0, 0] == pytest.approx(2.0)
+    d_weights, _ = net.views(grads)
+    assert d_weights[0][0, 0] == pytest.approx(2.0)
     assert dx[0] == pytest.approx(3.0)
 
 
@@ -140,7 +139,7 @@ def test_backward_zero_output_gradient():
     x = np.random.default_rng(0).standard_normal(4)
     _, tape = forward(net, x)
     grads, dx = backward(net, tape, np.zeros(3))
-    assert all(np.all(g == 0.0) for g in grads.d_weights + grads.d_biases)
+    assert np.all(grads == 0.0)
     assert np.all(dx == 0.0)
 
 
@@ -149,8 +148,8 @@ def test_backward_rejects_stale_tape():
     x = np.zeros(3)
     _, tape = forward(net, x)
     adam = AdamState.for_net(net, lr=1e-3)
-    g = zero_grads(net)
-    g.d_weights[0][0, 0] = 1.0
+    g = np.zeros_like(net.params)
+    g[0] = 1.0  # weights[0][0, 0]
     adam_step(net, g, adam)
     with pytest.raises(InvalidStateError):
         backward(net, tape, np.array([1.0]))
@@ -175,7 +174,8 @@ def test_gradients_match_finite_differences(output_activation):
         grads, dx = backward(net, tape, grad_out)
         fd_w = loss_fd(net, x, grad_out, net.weights)
         fd_b = loss_fd(net, x, grad_out, net.biases)
-        for analytic, numeric in zip(grads.d_weights + grads.d_biases, fd_w + fd_b):
+        d_weights, d_biases = net.views(grads)
+        for analytic, numeric in zip(d_weights + d_biases, fd_w + fd_b):
             denom = np.maximum(np.abs(numeric), 1e-6)
             rel = np.max(np.abs(analytic - numeric) / denom)
             assert rel < 1e-5
@@ -195,7 +195,7 @@ def test_adam_zero_gradient_keeps_parameters():
     net = make_net((3, 6, 1), seed=5)
     before = flatten_params(net)
     adam = AdamState.for_net(net, lr=0.1)
-    adam_step(net, zero_grads(net), adam)
+    adam_step(net, np.zeros_like(net.params), adam)
     assert np.array_equal(flatten_params(net), before)
 
 
@@ -203,8 +203,7 @@ def test_adam_descends_on_square():
     # f(w) = w^2 from w=1: one minimize step decreases w.
     net = DenseNet(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
     adam = AdamState.for_net(net, lr=0.1)
-    g = zero_grads(net)
-    g.d_weights[0][0, 0] = 2.0  # df/dw at w=1
+    g = np.array([2.0, 0.0])  # df/dw at w=1, then df/db
     adam_step(net, g, adam)
     assert net.weights[0][0, 0] < 1.0
 
@@ -212,8 +211,7 @@ def test_adam_descends_on_square():
 def test_adam_maximize_flips_direction():
     net = DenseNet(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
     adam = AdamState.for_net(net, lr=0.1)
-    g = zero_grads(net)
-    g.d_weights[0][0, 0] = 2.0
+    g = np.array([2.0, 0.0])
     adam_step(net, g, adam, maximize=True)
     assert net.weights[0][0, 0] > 1.0
 
@@ -316,9 +314,9 @@ def test_adam_step_equals_per_layer_reference_bit_for_bit(sizes, maximize):
     adam = AdamState.for_net(net, lr=1e-3)
     rng = np.random.default_rng(22)
     for step in range(1, 6):
-        grads = zero_grads(net)
-        grads.vector[:] = rng.standard_normal(net.params.size)
-        reference_adam(ref, [g.copy() for g in grads.d_weights + grads.d_biases], ref_m, ref_v, adam, step, maximize)
+        grads = rng.standard_normal(net.params.size)
+        d_weights, d_biases = net.views(grads)
+        reference_adam(ref, [g.copy() for g in d_weights + d_biases], ref_m, ref_v, adam, step, maximize)
         adam_step(net, grads, adam, maximize=maximize)
         assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, ref))
     assert adam.step == 5
@@ -344,9 +342,8 @@ def test_adam_step_peak_memory_is_one_parameter_vector():
 
     net = make_net(FULL_CRITIC, seed=3)
     adam = AdamState.for_net(net, lr=1e-3)
-    adam_step(net, zero_grads(net), adam)  # warm up any lazy allocations
-    grads = zero_grads(net)
-    grads.vector[:] = np.random.default_rng(4).standard_normal(net.params.size)
+    adam_step(net, np.zeros_like(net.params), adam)  # warm up any lazy allocations
+    grads = np.random.default_rng(4).standard_normal(net.params.size)
     tracemalloc.start()
     try:
         adam_step(net, grads, adam)
