@@ -87,6 +87,11 @@ class AgentHyperparams:
             raise ValueError("power_levels must be >= 2")
         if self.altitude_levels < 1:
             raise ValueError("altitude_levels must be >= 1")
+        if self.hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1")
+        # The buffer's and the schedule's own rules, checked before any agent is built.
+        ReplayBuffer(self.buffer_capacity, None)
+        build_schedule(self.denoise_steps, self.beta_min, self.beta_max)
 
 
 def desk_scale_hyperparams(**overrides) -> AgentHyperparams:
@@ -113,7 +118,7 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+            raise ValueError(f"buffer_capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rng = rng
         self._items: list = []

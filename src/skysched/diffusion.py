@@ -40,7 +40,7 @@ class DiffusionSchedule:
 def build_schedule(steps: int, beta_min: float = 0.1, beta_max: float = 10.0) -> DiffusionSchedule:
     """beta_i = 1 - exp(-beta_min/I - (2i-1)/(2I^2)*(beta_max-beta_min)), i = 1..I."""
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise ValueError(f"denoise_steps must be >= 1, got {steps}")
     if not 0.0 < beta_min < beta_max:
         raise ValueError(f"need 0 < beta_min < beta_max, got ({beta_min}, {beta_max})")
     i = np.arange(1, steps + 1, dtype=np.float64)

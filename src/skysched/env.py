@@ -32,7 +32,6 @@ from .channel import (
     v2u_family_gains,
     v2u_rate,
     v2u_sinr,
-    v2v_sinr,
 )
 from .energy import PowerModelParams, propulsion_power
 from .errors import EpisodeExhaustedError, NonFiniteActionError, NonFiniteRewardError
@@ -86,8 +85,8 @@ class NetworkScenario:
     def __post_init__(self):
         if self.k_links > self.m_links:
             raise ValueError(f"k_links ({self.k_links}) must be <= m_links ({self.m_links})")
-        if self.m_links < 1 or self.n_slots < 1:
-            raise ValueError("m_links and n_slots must be >= 1")
+        if min(self.m_links, self.k_links, self.n_slots) < 1:
+            raise ValueError("m_links, k_links and n_slots must be >= 1")
         if self.p_max <= 0.0:
             raise ValueError("p_max must be positive")
         if not self.h_min < self.h_max:
@@ -186,7 +185,8 @@ def estimate_outage(
 ) -> np.ndarray:
     """(K,) Monte-Carlo Pr{V2V SINR_k < threshold} over redraws of the aging
     discrepancy term, holding pre-delay fading, path loss, and the action
-    fixed. Exact (0 or 1) with zero feedback delay.
+    fixed. Exact (0 or 1) with zero feedback delay: there rho = J0(0) = 1, so
+    the redraws have zero scale and every sample is the pre-delay value.
 
     Every V2V link must hold exactly one channel (one interferer). The redraws
     are one (K, 2, 2, n_samples) block: per link, desired re, desired im,
@@ -197,9 +197,6 @@ def estimate_outage(
     bad = np.flatnonzero(action.x.sum(axis=1) != 1)
     if bad.size:
         raise ValueError(f"rows {bad.tolist()} of action.x do not hold exactly one channel")
-    if params.t_delay == 0.0:
-        return (v2v_sinr(gains, action, params) < gamma_threshold).astype(float)
-
     channel = action.x.argmax(axis=1)
     interferer = (channel, np.arange(len(channel)))
     # (K, 2): the desired link, then its one interferer.

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import yaml
@@ -29,7 +30,9 @@ from .errors import ConfigError
 from .lyapunov import LyapunovConfig
 from .mobility import MobilityTrace, generate_platoon, load_trace
 
-SWEEP_KEYS = ("k_links", "v_weight", "t_delay", "denoise_steps")
+# Sweep key -> the ExperimentConfig block whose field of the same name it overrides.
+SWEEP_KEYS = {"k_links": "scenario", "v_weight": "lyapunov", "t_delay": "channel", "denoise_steps": "hyperparams"}
+PRESETS = {"desk": desk_scale_hyperparams, "full": AgentHyperparams}
 FIGURE_KINDS = ("reward_curve", "rate_vs_K", "rate_vs_delay", "energy_vs_slot", "tradeoff_vs_V", "runtime_table")
 
 METRICS_FIELDS = SlotRecord._fields[:-1]
@@ -63,9 +66,7 @@ def _build_block(cls, block, name: str):
         raise ConfigError(f"{name}: expected a mapping, got {type(block).__name__}")
     try:
         return cls(**block)
-    except TypeError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
@@ -113,15 +114,9 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError("agents.episodes: required integer >= 1")
     hp_block = dict(agents_block.get("hyperparams") or {})
     preset = hp_block.pop("preset", "full")
-    if preset == "desk":
-        try:
-            hyperparams = desk_scale_hyperparams(**hp_block)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"agents.hyperparams: {exc}") from None
-    elif preset == "full":
-        hyperparams = _build_block(AgentHyperparams, hp_block, "agents.hyperparams")
-    else:
-        raise ConfigError(f"agents.hyperparams.preset: unknown preset {preset!r} (use 'desk' or 'full')")
+    if not isinstance(preset, str) or preset not in PRESETS:
+        raise ConfigError(f"agents.hyperparams.preset: unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    hyperparams = _build_block(PRESETS[preset], hp_block, "agents.hyperparams")
     extra = set(agents_block) - {"kinds", "episodes", "hyperparams"}
     if extra:
         raise ConfigError(f"agents: unknown keys {sorted(extra)}")
@@ -137,6 +132,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
             raise ConfigError(f"mobility.trace: file not found: {trace_path}")
         mobility = {"trace": str(trace_path)}
     else:
+        if not isinstance(mobility["platoon"], dict):
+            raise ConfigError("mobility.platoon: expected a mapping")
         platoon = dict(mobility["platoon"])
         required = {"n_vehicles", "mean_speed", "spacing", "seed"}
         missing = required - set(platoon)
@@ -146,6 +143,15 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         unknown = set(platoon) - allowed
         if unknown:
             raise ConfigError(f"mobility.platoon: unknown keys {sorted(unknown)}")
+        for key, value in platoon.items():
+            kind = "an integer" if key in ("n_vehicles", "seed") else "a real number"
+            types = int if kind == "an integer" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, types) or not math.isfinite(value):
+                raise ConfigError(f"mobility.platoon.{key}: expected {kind}, got {value!r}")
+        if not platoon["spacing"] > 0.0:
+            raise ConfigError(f"mobility.platoon.spacing: must be positive, got {platoon['spacing']!r}")
+        if platoon["seed"] < 0:
+            raise ConfigError(f"mobility.platoon.seed: must be >= 0, got {platoon['seed']!r}")
         mobility = {"platoon": platoon}
 
     env_block = data.get("env") or {}
@@ -164,20 +170,10 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     sweep: dict[str, list] = {}
     for key, values in sweep_block.items():
         if key not in SWEEP_KEYS:
-            raise ConfigError(f"sweep.{key}: unknown sweep key; choose from {SWEEP_KEYS}")
+            raise ConfigError(f"sweep.{key}: unknown sweep key; choose from {tuple(SWEEP_KEYS)}")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{key}: must be a non-empty list")
         sweep[key] = values
-
-    max_k = max([scenario.k_links, *sweep.get("k_links", [])])
-    if max_k > scenario.m_links:
-        raise ConfigError(f"sweep.k_links: max value {max_k} exceeds scenario.m_links {scenario.m_links}")
-    if "platoon" in mobility:
-        needed = scenario.m_links + 2 * max_k
-        if mobility["platoon"]["n_vehicles"] < needed:
-            raise ConfigError(
-                f"mobility.platoon.n_vehicles: need at least {needed} vehicles for M={scenario.m_links}, K={max_k}"
-            )
 
     resolved = {
         "output_dir": str(output_dir),
@@ -191,7 +187,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         "env": {"outage_samples": outage_samples, "normalizer_warmup": normalizer_warmup},
         "sweep": {k: list(v) for k, v in sweep.items()},
     }
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         output_dir=output_dir,
         seeds=list(seeds),
         agent_kinds=list(kinds),
@@ -207,6 +203,18 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         sweep=sweep,
         resolved=resolved,
     )
+    for key, values in sweep.items():
+        for value in values:  # each value alone, through the same replace a run applies
+            _build_block(partial(_at_point, cfg), {key: value}, f"sweep.{key}")
+
+    max_k = max([scenario.k_links, *sweep.get("k_links", [])])
+    if "platoon" in mobility:
+        needed = scenario.m_links + 2 * max_k
+        if mobility["platoon"]["n_vehicles"] < needed:
+            raise ConfigError(
+                f"mobility.platoon.n_vehicles: need at least {needed} vehicles for M={scenario.m_links}, K={max_k}"
+            )
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -222,31 +230,27 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _sweep_points(sweep: dict[str, list]) -> list[dict]:
-    if not sweep:
-        return [{}]
-    keys = list(sweep)
-    return [dict(zip(keys, combo)) for combo in itertools.product(*(sweep[k] for k in keys))]
+    """Every combination of the swept values; one empty point without a sweep."""
+    return [dict(zip(sweep, combo)) for combo in itertools.product(*sweep.values())]
 
 
 def _run_id(kind: str, point: dict) -> str:
-    parts = [kind] + [f"{k}={v}" for k, v in point.items()]
-    return "__".join(parts)
+    return "__".join([kind] + [f"{k}={v}" for k, v in point.items()])
+
+
+def _at_point(cfg: ExperimentConfig, **point) -> ExperimentConfig:
+    """cfg with each swept field of the point replaced in its block."""
+    for key, value in point.items():
+        block = SWEEP_KEYS[key]
+        cfg = replace(cfg, **{block: replace(getattr(cfg, block), **{key: value})})
+    return cfg
 
 
 def _build_trace(cfg: ExperimentConfig) -> MobilityTrace:
     if "trace" in cfg.mobility:
         return load_trace(cfg.mobility["trace"])
-    p = cfg.mobility["platoon"]
     return generate_platoon(
-        p["n_vehicles"],
-        p["mean_speed"],
-        p["spacing"],
-        cfg.scenario.n_slots + 1,
-        p["seed"],
-        slot_duration=cfg.scenario.slot_duration,
-        position_jitter=p.get("position_jitter", 1.0),
-        speed_jitter=p.get("speed_jitter", 1.0),
-        lane_y=p.get("lane_y", 0.0),
+        n_slots=cfg.scenario.n_slots + 1, slot_duration=cfg.scenario.slot_duration, **cfg.mobility["platoon"]
     )
 
 
@@ -294,24 +298,11 @@ def run_experiment(cfg: ExperimentConfig, *, progress=None) -> ExperimentResult:
     out.mkdir(parents=True, exist_ok=True)
     trace = _build_trace(cfg)
 
-    metric_rows: list[tuple] = []
-    eval_rows: list[tuple] = []
-    timing_rows: list[tuple] = []
+    records: list[SlotRecord] = []  # every run's training rows, then its evaluation rows
     runs_summary: dict[str, dict] = {}
 
     for point in _sweep_points(cfg.sweep):
-        scenario = cfg.scenario
-        channel = cfg.channel
-        lyapunov = cfg.lyapunov
-        hp = cfg.hyperparams
-        if "k_links" in point:
-            scenario = replace(scenario, k_links=point["k_links"])
-        if "t_delay" in point:
-            channel = replace(channel, t_delay=point["t_delay"])
-        if "v_weight" in point:
-            lyapunov = replace(lyapunov, v_weight=point["v_weight"])
-        if "denoise_steps" in point:
-            hp = replace(hp, denoise_steps=point["denoise_steps"])
+        run_cfg = _at_point(cfg, **point)
         for kind in cfg.agent_kinds:
             run_id = _run_id(kind, point)
             per_seed: dict[str, dict] = {}
@@ -319,24 +310,20 @@ def run_experiment(cfg: ExperimentConfig, *, progress=None) -> ExperimentResult:
                 if progress is not None:
                     progress(f"run {run_id} seed {seed}")
                 env = VehicularEnv(
-                    scenario,
-                    channel,
-                    cfg.energy,
-                    lyapunov,
+                    run_cfg.scenario,
+                    run_cfg.channel,
+                    run_cfg.energy,
+                    run_cfg.lyapunov,
                     trace,
                     seed=seed,
                     observe_aged=(kind != "d3pg_wcsi"),
-                    outage_samples=cfg.outage_samples,
-                    normalizer_warmup=cfg.normalizer_warmup,
+                    outage_samples=run_cfg.outage_samples,
+                    normalizer_warmup=run_cfg.normalizer_warmup,
                 )
-                result = train(kind, env, hp, seed, cfg.episodes, run_id=run_id)
-                for rec in result.records:
-                    metric_rows.append(rec[:-1])
-                    timing_rows.append(rec[:4] + rec[-1:])
-                for rec in result.eval_records:
-                    eval_rows.append(rec[:-1])
-                    timing_rows.append(rec[:4] + rec[-1:])
-                per_seed[str(seed)] = _seed_summary(result, scenario)
+                result = train(kind, env, run_cfg.hyperparams, seed, cfg.episodes, run_id=run_id)
+                records += result.records
+                records += result.eval_records
+                per_seed[str(seed)] = _seed_summary(result, run_cfg.scenario)
             mean_summary = {
                 key: _mean(stats[key] for stats in per_seed.values()) for key in next(iter(per_seed.values()))
             }
@@ -351,9 +338,9 @@ def run_experiment(cfg: ExperimentConfig, *, progress=None) -> ExperimentResult:
     eval_path = out / "eval.csv"
     timing_path = out / "timing.csv"
     summary_path = out / "summary.json"
-    _write_csv(metrics_path, METRICS_FIELDS, metric_rows)
-    _write_csv(eval_path, METRICS_FIELDS, eval_rows)
-    _write_csv(timing_path, TIMING_FIELDS, timing_rows)
+    _write_csv(metrics_path, METRICS_FIELDS, (r[:-1] for r in records if r.episode < cfg.episodes))
+    _write_csv(eval_path, METRICS_FIELDS, (r[:-1] for r in records if r.episode == cfg.episodes))
+    _write_csv(timing_path, TIMING_FIELDS, (r[:4] + r[-1:] for r in records))
     summary = {
         "schema": "skysched-summary-v1",
         "config": cfg.resolved,
@@ -378,8 +365,6 @@ def _seed_summary(result, scenario: NetworkScenario) -> dict:
     tail = result.episode_rewards[-10:]
     train_records = result.records
     eval_records = result.eval_records
-    last_episode = max(r.episode for r in train_records)
-    final_train = [r for r in train_records if r.episode == last_episode]
     eval_rates = [r.mean_v2u_rate_mbps for r in eval_records]
     eval_energy = [r.energy_j for r in eval_records]
     return {
@@ -390,8 +375,8 @@ def _seed_summary(result, scenario: NetworkScenario) -> dict:
         "eval_energy_avg_j": _mean(eval_energy),
         "eval_final_moving_avg_energy_j": eval_records[-1].moving_avg_energy_j,
         "eval_final_queue_j": eval_records[-1].queue_j,
-        "train_final_moving_avg_energy_j": final_train[-1].moving_avg_energy_j,
-        "train_final_queue_j": final_train[-1].queue_j,
+        "train_final_moving_avg_energy_j": train_records[-1].moving_avg_energy_j,
+        "train_final_queue_j": train_records[-1].queue_j,
         "outage_violation_rate": _mean(r.outage_violations for r in train_records) / scenario.k_links,
     }
 

@@ -173,6 +173,27 @@ def test_outage_zero_delay_is_indicator():
         assert prob == (1.0 if gamma < sc.gamma_v_th else 0.0)
 
 
+def test_outage_zero_delay_is_exactly_the_sinr_indicator():
+    """At zero delay rho = J0(0) = 1, so every Monte-Carlo redraw is the
+    pre-delay value: on random gains and actions the estimate is only ever 0.0
+    or 1.0, and it is the indicator of the SINR against the threshold."""
+    from skysched.channel import v2v_sinr
+
+    env = make_env(toy_scenario(m=6, k=6), channel=ChannelParams(t_delay=0.0))
+    sc = env.scenario
+    rng = np.random.default_rng(3)
+    _, info = env.reset(0)
+    seen = set()
+    for _ in range(sc.n_slots):
+        act = amend_action(raw_action(sc, rng), sc)
+        prob = estimate_outage(info["gains"], act, env.channel_params, sc.gamma_v_th, 50, rng)
+        indicator = v2v_sinr(info["gains"], act, env.channel_params) < sc.gamma_v_th
+        np.testing.assert_array_equal(prob, indicator.astype(float))
+        seen.update(prob.tolist())
+        _, _, _, info = env.step(raw_action(sc, rng))
+    assert seen == {0.0, 1.0}
+
+
 def test_outage_zero_desired_power_is_certain():
     for t_delay in (0.0, 0.01):
         env, gains = outage_fixture(t_delay)

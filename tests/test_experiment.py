@@ -81,6 +81,22 @@ def test_parse_minimal_config(tmp_path):
         (lambda c: c["agents"]["hyperparams"].update(update_every=0), "agents.hyperparams: update_every"),
         (lambda c: c["agents"]["hyperparams"].update(power_levels=1), "agents.hyperparams: power_levels"),
         (lambda c: c["agents"]["hyperparams"].update(altitude_levels=0), "agents.hyperparams: altitude_levels"),
+        # values a run would reject with a traceback; parse rejects them first
+        (lambda c: c.update(sweep={"t_delay": [0.01, -1.0]}), "sweep.t_delay"),
+        (lambda c: c.update(sweep={"v_weight": [0.0]}), "sweep.v_weight"),
+        (lambda c: c.update(sweep={"k_links": [0]}), "sweep.k_links: m_links, k_links and n_slots"),
+        (lambda c: c.update(sweep={"denoise_steps": [2, 0]}), "sweep.denoise_steps"),
+        (lambda c: c["scenario"].update(k_links=0), "scenario: m_links, k_links and n_slots"),
+        (lambda c: c["agents"]["hyperparams"].update(denoise_steps=0), "agents.hyperparams: denoise_steps"),
+        (lambda c: c["agents"]["hyperparams"].update(buffer_capacity=0), "agents.hyperparams: buffer_capacity"),
+        (lambda c: c["agents"]["hyperparams"].update(beta_min=20.0), "agents.hyperparams: need 0 < beta_min < beta_max"),
+        (lambda c: c["agents"]["hyperparams"].update(hidden_width=0), "agents.hyperparams: hidden_width"),
+        (lambda c: c["mobility"]["platoon"].update(spacing=0.0), "mobility.platoon.spacing"),
+        (lambda c: c["mobility"]["platoon"].update(n_vehicles="6"), "mobility.platoon.n_vehicles: expected an integer"),
+        (lambda c: c["mobility"]["platoon"].update(seed=True), "mobility.platoon.seed: expected an integer"),
+        (lambda c: c["mobility"]["platoon"].update(seed=-1), "mobility.platoon.seed: must be >= 0"),
+        (lambda c: c["mobility"]["platoon"].update(mean_speed="fast"), "mobility.platoon.mean_speed"),
+        (lambda c: c["mobility"].update(platoon=5), "mobility.platoon: expected a mapping"),
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, needle):
@@ -167,6 +183,23 @@ def test_run_fails_loudly_naming_run_episode_and_slot(tmp_path, monkeypatch, own
     with pytest.raises(error, match="run random, seed 0: episode 0, slot 3"):
         run_experiment(cfg)
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_row_order_under_a_sweep_and_several_seeds(tmp_path):
+    """Rows come in (sweep point, kind, seed) order: metrics.csv holds the
+    training rows, eval.csv the evaluation rows, and timing.csv each run's
+    training rows followed by its evaluation rows."""
+    raw = base_config(tmp_path / "out", seeds=[0, 1], sweep={"t_delay": [0.004, 0.01]})
+    raw["agents"]["kinds"] = ["random", "ddpg"]
+    result = run_experiment(parse_config(raw))
+    runs = [(f"{kind}__t_delay={t}", seed) for t in (0.004, 0.01) for kind in ("random", "ddpg") for seed in (0, 1)]
+
+    def keys(path):
+        return [(r["run_id"], int(r["seed"]), int(r["episode"]), int(r["slot"])) for r in read_rows(path)]
+
+    assert keys(result.metrics_path) == [(run, seed, ep, t) for run, seed in runs for ep in (0, 1) for t in range(8)]
+    assert keys(result.eval_path) == [(run, seed, 2, t) for run, seed in runs for t in range(8)]
+    assert keys(result.timing_path) == [(run, seed, ep, t) for run, seed in runs for ep in (0, 1, 2) for t in range(8)]
 
 
 def test_summary_means_are_seed_averages(tmp_path):
