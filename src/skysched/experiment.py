@@ -81,6 +81,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     if "output_dir" not in data:
         raise ConfigError("output_dir: required")
+    if not isinstance(data["output_dir"], str):
+        raise ConfigError(f"output_dir: expected a path string, got {data['output_dir']!r}")
     output_dir = Path(data["output_dir"])
     if base_dir is not None and not output_dir.is_absolute():
         output_dir = base_dir / output_dir
@@ -112,7 +114,10 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     episodes = agents_block.get("episodes")
     if not isinstance(episodes, int) or episodes < 1:
         raise ConfigError("agents.episodes: required integer >= 1")
-    hp_block = dict(agents_block.get("hyperparams") or {})
+    hp_block = agents_block.get("hyperparams") or {}
+    if not isinstance(hp_block, dict):
+        raise ConfigError(f"agents.hyperparams: expected a mapping, got {type(hp_block).__name__}")
+    hp_block = dict(hp_block)
     preset = hp_block.pop("preset", "full")
     if not isinstance(preset, str) or preset not in PRESETS:
         raise ConfigError(f"agents.hyperparams.preset: unknown preset {preset!r}; choose from {sorted(PRESETS)}")

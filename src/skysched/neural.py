@@ -161,26 +161,34 @@ def forward_only(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return a
 
 
-def backward(net: DenseNet, tape: Tape, output_gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def backward(
+    net: DenseNet, tape: Tape, output_gradient: np.ndarray, *, param_grads: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Exact reverse-mode gradients of forward(); returns (parameter gradient
-    vector summed over the batch, d_input shaped like the tape's input)."""
+    vector summed over the batch, d_input shaped like the tape's input).
+
+    With param_grads=False the weight and bias products are skipped and the
+    first element is None: for callers that need only d_input."""
     if tape.net_id != id(net) or tape.net_version != net.version:
         raise InvalidStateError("tape is stale: parameters changed since forward()")
     dy = np.asarray(output_gradient, dtype=np.float64)
     if dy.shape != tape.x.shape[:-1] + (net.n_out,):
         raise ValueError(f"output_gradient shape {dy.shape} != {tape.x.shape[:-1] + (net.n_out,)}")
     n_rows = 1 if dy.ndim == 1 else dy.shape[0]
-    grads = np.empty_like(net.params)
-    d_weights, d_biases = net.views(grads)
+    grads = None
+    if param_grads:
+        grads = np.empty_like(net.params)
+        d_weights, d_biases = net.views(grads)
     last = len(net.weights) - 1
     grad = dy.reshape(n_rows, -1)
     for i in range(last, -1, -1):
         kind = net.output_activation if i == last else net.hidden_activation
         z, a = tape.pre[i].reshape(n_rows, -1), tape.post[i].reshape(n_rows, -1)
         dz = grad * _act_grad(z, a, kind)
-        a_prev = (tape.x if i == 0 else tape.post[i - 1]).reshape(n_rows, -1)
-        np.matmul(dz.T, a_prev, out=d_weights[i])
-        dz.sum(axis=0, out=d_biases[i])
+        if param_grads:
+            a_prev = (tape.x if i == 0 else tape.post[i - 1]).reshape(n_rows, -1)
+            np.matmul(dz.T, a_prev, out=d_weights[i])
+            dz.sum(axis=0, out=d_biases[i])
         grad = dz @ net.weights[i]
     return grads, grad.reshape(tape.x.shape)
 

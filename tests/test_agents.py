@@ -1,8 +1,12 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skysched
 from skysched.agents import (
     AgentHyperparams,
     ReplayBuffer,
@@ -417,3 +421,22 @@ def test_hyperparam_validation():
         AgentHyperparams(tau=0.0)
     with pytest.raises(ValueError):
         make_agent("nope", NetworkScenario(m_links=2, k_links=1), ChannelParams(), AgentHyperparams(), 0)
+
+
+def test_scipy_optimize_loads_only_with_an_h_ddqn_agent():
+    """The experiment and CLI modules leave the Hungarian solver's module
+    unloaded; building an H-DDQN agent loads it, before its first act()."""
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(skysched.__file__).resolve().parent.parent)!r})
+import skysched.cli, skysched.experiment
+from skysched.agents import desk_scale_hyperparams, make_agent
+from skysched.channel import ChannelParams
+from skysched.env import NetworkScenario
+print("scipy.optimize" in sys.modules)
+make_agent("h_ddqn", NetworkScenario(m_links=3, k_links=3), ChannelParams(), desk_scale_hyperparams(), 0)
+print("scipy.optimize" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

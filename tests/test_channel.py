@@ -175,6 +175,11 @@ def test_age_fading_identity_with_zero_relative_speed():
     assert age_fading(g, 0.0, params, rng) == g
 
 
+def test_channel_params_accept_zero_delay_and_speed_floor():
+    params = ChannelParams(t_delay=0.0, s_rel_min=0.0)
+    assert (params.t_delay, params.s_rel_min) == (0.0, 0.0)
+
+
 def test_age_fading_array_equals_per_coefficient_loop():
     params = ChannelParams(t_delay=0.01)
     rng = np.random.default_rng(5)

@@ -97,6 +97,14 @@ def test_parse_minimal_config(tmp_path):
         (lambda c: c["mobility"]["platoon"].update(seed=-1), "mobility.platoon.seed: must be >= 0"),
         (lambda c: c["mobility"]["platoon"].update(mean_speed="fast"), "mobility.platoon.mean_speed"),
         (lambda c: c["mobility"].update(platoon=5), "mobility.platoon: expected a mapping"),
+        (lambda c: c["scenario"].update(k_links=2.5), "scenario: k_links must be an integer"),
+        (lambda c: c["scenario"].update(n_slots=True), "scenario: n_slots must be an integer"),
+        (lambda c: c.update(sweep={"k_links": [2.5]}), "sweep.k_links: k_links must be an integer"),
+        (lambda c: c["agents"].update(hyperparams=5), "agents.hyperparams: expected a mapping"),
+        (lambda c: c.update(output_dir=None), "output_dir: expected a path string"),
+        (lambda c: c["channel"].update(t_delay=math.nan), "channel: t_delay must be finite"),
+        (lambda c: c["channel"].update(bandwidth_per_channel=math.nan), "channel: bandwidth_per_channel must be finite"),
+        (lambda c: c["channel"].update(s_rel_min=-1.0), "channel: s_rel_min must be >= 0"),
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, needle):
@@ -349,6 +357,22 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli_main(["validate", str(path)]) == 2
     assert "seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate, needle",
+    [
+        (lambda c: c["channel"].update(t_delay=math.nan), "channel: t_delay"),
+        (lambda c: c.update(output_dir=None), "output_dir"),
+    ],
+)
+def test_cli_validate_exits_2_naming_the_field(tmp_path, capsys, mutate, needle):
+    """YAML's .nan and null reach the checks as written and give exit 2."""
+    cfg = base_config(tmp_path / "out")
+    mutate(cfg)
+    path = write_config(tmp_path, cfg)
+    assert cli_main(["validate", str(path)]) == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_cli_run_and_figure(tmp_path, capsys):

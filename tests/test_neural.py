@@ -95,13 +95,16 @@ def test_forward_rejects_three_dimensional_input():
 @pytest.mark.parametrize("output_activation", ["identity", "tanh"])
 def test_batched_pass_equals_sum_of_single_rows(output_activation):
     """One (B, n) forward/backward gives the row-wise outputs and input
-    gradients, and parameter gradients equal to the sum of B single-row calls."""
+    gradients (the same bits with param_grads=False), and parameter gradients
+    equal to the sum of B single-row calls."""
     net = make_net((6, 16, 16, 3), seed=7, output_activation=output_activation)
     rng = np.random.default_rng(8)
     xs, dys = rng.standard_normal((9, 6)), rng.standard_normal((9, 3))
     y, tape = forward(net, xs)
     grads, dx = backward(net, tape, dys)
     assert y.shape == (9, 3) and dx.shape == (9, 6)
+    no_grads, dx_only = backward(net, tape, dys, param_grads=False)
+    assert no_grads is None and np.array_equal(dx_only, dx)
     assert np.allclose(forward_only(net, xs), y, rtol=0, atol=1e-12)
     summed = np.zeros_like(net.params)
     for row, (x, dy) in enumerate(zip(xs, dys)):
