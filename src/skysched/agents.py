@@ -28,7 +28,7 @@ from .diffusion import (
     sample_action_with_tape,
 )
 from .env import NetworkScenario, VehicularEnv
-from .errors import NonFiniteActionError, NonFiniteRewardError
+from .errors import NonFiniteActionError, NonFiniteLossError, NonFiniteRewardError
 from .neural import (
     AdamState,
     DenseNet,
@@ -237,6 +237,13 @@ def ddqn_update(
     return float(np.sum(err * err)) / (n * n_heads)
 
 
+def _check_finite(name: str, value: float, update: int) -> None:
+    """Raise NonFiniteLossError when an update rule's returned loss or mean Q is
+    NaN or infinite; update is the updated net's Adam step count."""
+    if not np.isfinite(value):
+        raise NonFiniteLossError(f"update {update}: {name} is {value}")
+
+
 # -- policies and agents ----------------------------------------------------
 
 
@@ -364,8 +371,10 @@ class ActorCriticAgent:
         if len(self.buffer) == 0:
             return
         batch = self.buffer.sample(self.hp.batch_size)
-        critic_td_update(self.critic, self.critic_adam, self.target_critic, self._target_policy, batch, self.hp)
-        actor_pg_update(self.policy, self.critic, [s for s, _, _, _ in batch], self.hp)
+        loss = critic_td_update(self.critic, self.critic_adam, self.target_critic, self._target_policy, batch, self.hp)
+        _check_finite("critic loss", loss, self.critic_adam.step)
+        mean_q = actor_pg_update(self.policy, self.critic, [s for s, _, _, _ in batch], self.hp)
+        _check_finite("mean Q", mean_q, self.critic_adam.step)
         soft_update(self.target_actor, self.policy.net, self.hp.tau)
         soft_update(self.target_critic, self.critic, self.hp.tau)
 
@@ -465,7 +474,8 @@ class HDDQNAgent:
         if len(self.buffer) == 0:
             return
         batch = self.buffer.sample(self.hp.batch_size)
-        ddqn_update(self.qnet, self.qnet_adam, self.target_qnet, batch, self.hp, self.heads)
+        loss = ddqn_update(self.qnet, self.qnet_adam, self.target_qnet, batch, self.hp, self.heads)
+        _check_finite("double-Q loss", loss, self.qnet_adam.step)
         soft_update(self.target_qnet, self.qnet, self.hp.tau)
 
     def save_checkpoint(self, directory, name: str = "h_ddqn") -> None:
@@ -548,7 +558,6 @@ def train(
     seed: int,
     episodes: int,
     *,
-    sink=None,
     run_id: str = "run",
 ) -> TrainResult:
     """Run episodes x slots of act / step / store / (after warmup) update, with
@@ -556,8 +565,8 @@ def train(
     evaluation episode (recorded with episode index == episodes).
 
     Timing covers policy inference only. Identical (env seed, agent seed,
-    config) reproduce the metric series exactly. Non-finite action or reward
-    errors are re-raised with the run_id and seed prefixed.
+    config) reproduce the metric series exactly. Non-finite action, reward or
+    loss errors are re-raised with the run_id and seed prefixed.
     """
     if agent_kind == "d3pg_wcsi" and env.observe_aged:
         raise ValueError("d3pg_wcsi requires an env constructed with observe_aged=False")
@@ -595,8 +604,6 @@ def train(
                 inference_ms=inference_ms,
             )
             (eval_records if evaluation else records).append(record)
-            if sink is not None:
-                sink(record)
             ep_reward += rb.reward
             state = next_state
         return ep_reward
@@ -605,6 +612,6 @@ def train(
         for ep in range(episodes):
             episode_rewards.append(run_episode(ep, evaluation=False))
         run_episode(episodes, evaluation=True)
-    except (NonFiniteActionError, NonFiniteRewardError) as exc:
+    except (NonFiniteActionError, NonFiniteRewardError, NonFiniteLossError) as exc:
         raise type(exc)(f"run {run_id}, seed {seed}: {exc}") from exc
     return TrainResult(episode_rewards=episode_rewards, records=records, agent=agent, eval_records=eval_records)

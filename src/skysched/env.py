@@ -13,8 +13,8 @@ running per-entry standardization frozen after a warm-up, then Q(t)/E_th.
 
 A step scores the decision over all links at once: one gain reprice for the
 V2U family, one (M,) SINR and rate array, and one (K,) outage Monte Carlo.
-Its geometry is the slot's row of the trace arrays, taken at the pairing's
-trace columns, which the env resolves once when it is built.
+Its geometry is the slot's row of the trace arrays, taken at the default
+pairing's trace columns, which the env resolves once when it is built.
 """
 
 from __future__ import annotations
@@ -39,28 +39,16 @@ from .lyapunov import LyapunovConfig, VirtualQueue, drift_plus_penalty_objective
 from .mobility import MobilityTrace, UavState, advance_uav
 
 
-@dataclass(frozen=True)
-class LinkPairing:
-    """Which vehicles transmit: M V2U transmitter ids and K V2V (tx, rx) id pairs."""
-
-    v2u_tx: tuple[int, ...]
-    v2v_pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for tx, rx in self.v2v_pairs:
-            if tx == rx:
-                raise ValueError(f"V2V pair ({tx}, {rx}) has identical endpoints")
-
-
-def default_pairing(vehicle_ids, m_links: int, k_links: int) -> LinkPairing:
-    """First M ids transmit to the UAV; the next 2K form adjacent V2V pairs."""
+def default_pairing(vehicle_ids, m_links: int, k_links: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(V2U transmitter ids, V2V (tx, rx) id pairs): in sorted id order, the
+    first M ids transmit to the UAV and the next 2K form adjacent V2V pairs."""
     ids = sorted(vehicle_ids)
     needed = m_links + 2 * k_links
     if len(ids) < needed:
         raise ValueError(f"need at least {needed} vehicles for M={m_links}, K={k_links}, trace has {len(ids)}")
     v2u = tuple(ids[:m_links])
     pairs = tuple((ids[m_links + 2 * i], ids[m_links + 2 * i + 1]) for i in range(k_links))
-    return LinkPairing(v2u_tx=v2u, v2v_pairs=pairs)
+    return v2u, pairs
 
 
 @dataclass(frozen=True)
@@ -80,7 +68,6 @@ class NetworkScenario:
     e_th: float = 120.0  # J per slot
     uav_speed: float = 50.0 / 3.6  # m/s
     uav_initial_altitude: float = 100.0
-    pairing: LinkPairing | None = None
 
     def __post_init__(self):
         for name in ("m_links", "k_links", "n_slots"):
@@ -99,11 +86,6 @@ class NetworkScenario:
             raise ValueError("pr_v_th must be in (0, 1)")
         if not self.h_min <= self.uav_initial_altitude <= self.h_max:
             raise ValueError("uav_initial_altitude must lie within [h_min, h_max]")
-        if self.pairing is not None:
-            if len(self.pairing.v2u_tx) != self.m_links:
-                raise ValueError("pairing.v2u_tx length must equal m_links")
-            if len(self.pairing.v2v_pairs) != self.k_links:
-                raise ValueError("pairing.v2v_pairs length must equal k_links")
 
     @property
     def state_dim(self) -> int:
@@ -304,12 +286,9 @@ class VehicularEnv:
         self.observe_aged = observe_aged
         self.outage_samples = outage_samples
         self.n_slots = min(scenario.n_slots, trace.n_slots - 1)
-        self.pairing = scenario.pairing or default_pairing(trace.vehicle_ids, scenario.m_links, scenario.k_links)
+        v2u_tx, v2v_pairs = default_pairing(trace.vehicle_ids, scenario.m_links, scenario.k_links)
         columns = {vid: i for i, vid in enumerate(trace.vehicle_ids)}
-        endpoints = (*self.pairing.v2u_tx, *(vid for pair in self.pairing.v2v_pairs for vid in pair))
-        missing = sorted(set(endpoints) - set(columns))
-        if missing:
-            raise ValueError(f"pairing references vehicle ids missing from trace: {missing}")
+        endpoints = (*v2u_tx, *(vid for pair in v2v_pairs for vid in pair))
         # Trace columns of the M V2U transmitters and of the K (tx, rx) pairs, resolved once.
         cols = np.array([columns[vid] for vid in endpoints], dtype=np.intp)
         self._v2u_cols, self._pair_cols = cols[: scenario.m_links], cols[scenario.m_links :].reshape(-1, 2)

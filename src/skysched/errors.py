@@ -29,6 +29,10 @@ class NonFiniteRewardError(SkySchedError):
     """A slot's reward is NaN or infinite; the message names the episode and slot."""
 
 
+class NonFiniteLossError(SkySchedError):
+    """A learner update returned a NaN or infinite loss or mean Q; the message names it and the update."""
+
+
 class EpisodeExhaustedError(SkySchedError):
     """step() called after the episode's final slot."""
 

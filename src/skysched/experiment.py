@@ -16,6 +16,7 @@ import csv
 import itertools
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -183,7 +184,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     resolved = {
         "output_dir": str(output_dir),
         "seeds": list(seeds),
-        "scenario": asdict(scenario),
+        "scenario": {**asdict(scenario), "pairing": None},  # summary-v1 echoes the (always default) pairing
         "channel": asdict(channel),
         "energy": asdict(energy),
         "lyapunov": asdict(lyapunov),
@@ -265,11 +266,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_rows(fh, rows) -> None:
+    for row in rows:
+        fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, [header, *rows])
 
 
 def _mean(values) -> float:
@@ -297,72 +301,76 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig, *, progress=None) -> ExperimentResult:
-    """Train and evaluate every (agent, sweep point, seed) combination, then
-    persist metrics.csv, eval.csv, timing.csv, and summary.json."""
+    """Train and evaluate every (agent, sweep point, seed) combination and
+    persist metrics.csv, eval.csv, timing.csv, and summary.json.
+
+    Each seed's rows are appended to <name>.partial files as soon as its
+    train() returns, so memory holds one seed's rows at most. The files take
+    their final names when every seed has run, summary.json last; a failed
+    run leaves only the .partial files, holding the completed seeds' rows.
+    """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     trace = _build_trace(cfg)
-
-    records: list[SlotRecord] = []  # every run's training rows, then its evaluation rows
+    paths = [out / name for name in ("metrics.csv", "eval.csv", "timing.csv", "summary.json")]
+    partials = [path.with_name(path.name + ".partial") for path in paths]
     runs_summary: dict[str, dict] = {}
 
-    for point in _sweep_points(cfg.sweep):
-        run_cfg = _at_point(cfg, **point)
-        for kind in cfg.agent_kinds:
-            run_id = _run_id(kind, point)
-            per_seed: dict[str, dict] = {}
-            for seed in cfg.seeds:
-                if progress is not None:
-                    progress(f"run {run_id} seed {seed}")
-                env = VehicularEnv(
-                    run_cfg.scenario,
-                    run_cfg.channel,
-                    run_cfg.energy,
-                    run_cfg.lyapunov,
-                    trace,
-                    seed=seed,
-                    observe_aged=(kind != "d3pg_wcsi"),
-                    outage_samples=run_cfg.outage_samples,
-                    normalizer_warmup=run_cfg.normalizer_warmup,
-                )
-                result = train(kind, env, run_cfg.hyperparams, seed, cfg.episodes, run_id=run_id)
-                records += result.records
-                records += result.eval_records
-                per_seed[str(seed)] = _seed_summary(result, run_cfg.scenario)
-            mean_summary = {
-                key: _mean(stats[key] for stats in per_seed.values()) for key in next(iter(per_seed.values()))
-            }
-            runs_summary[run_id] = {
-                "agent": kind,
-                "sweep": point,
-                "per_seed": per_seed,
-                "mean": mean_summary,
-            }
+    with ExitStack() as stack:
+        metrics_fh, eval_fh, timing_fh = files = [
+            stack.enter_context(open(path, "w", newline="\n", encoding="utf-8")) for path in partials[:3]
+        ]
+        for fh, header in zip(files, (METRICS_FIELDS, METRICS_FIELDS, TIMING_FIELDS)):
+            _write_rows(fh, [header])
+        for point in _sweep_points(cfg.sweep):
+            run_cfg = _at_point(cfg, **point)
+            for kind in cfg.agent_kinds:
+                run_id = _run_id(kind, point)
+                per_seed: dict[str, dict] = {}
+                for seed in cfg.seeds:
+                    if progress is not None:
+                        progress(f"run {run_id} seed {seed}")
+                    env = VehicularEnv(
+                        run_cfg.scenario,
+                        run_cfg.channel,
+                        run_cfg.energy,
+                        run_cfg.lyapunov,
+                        trace,
+                        seed=seed,
+                        observe_aged=(kind != "d3pg_wcsi"),
+                        outage_samples=run_cfg.outage_samples,
+                        normalizer_warmup=run_cfg.normalizer_warmup,
+                    )
+                    result = train(kind, env, run_cfg.hyperparams, seed, cfg.episodes, run_id=run_id)
+                    _write_rows(metrics_fh, (r[:-1] for r in result.records))
+                    _write_rows(eval_fh, (r[:-1] for r in result.eval_records))
+                    _write_rows(timing_fh, (r[:4] + r[-1:] for r in result.records + result.eval_records))
+                    for fh in files:
+                        fh.flush()  # a killed run keeps every completed seed's rows
+                    per_seed[str(seed)] = _seed_summary(result, run_cfg.scenario)
+                    del env, result  # so the next seed trains without this one's rows and agent
+                mean_summary = {
+                    key: _mean(stats[key] for stats in per_seed.values()) for key in next(iter(per_seed.values()))
+                }
+                runs_summary[run_id] = {
+                    "agent": kind,
+                    "sweep": point,
+                    "per_seed": per_seed,
+                    "mean": mean_summary,
+                }
 
-    metrics_path = out / "metrics.csv"
-    eval_path = out / "eval.csv"
-    timing_path = out / "timing.csv"
-    summary_path = out / "summary.json"
-    _write_csv(metrics_path, METRICS_FIELDS, (r[:-1] for r in records if r.episode < cfg.episodes))
-    _write_csv(eval_path, METRICS_FIELDS, (r[:-1] for r in records if r.episode == cfg.episodes))
-    _write_csv(timing_path, TIMING_FIELDS, (r[:4] + r[-1:] for r in records))
     summary = {
         "schema": "skysched-summary-v1",
         "config": cfg.resolved,
         "sweep_keys": sorted(cfg.sweep),
         "runs": runs_summary,
     }
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(partials[3], "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return ExperimentResult(
-        output_dir=out,
-        metrics_path=metrics_path,
-        eval_path=eval_path,
-        timing_path=timing_path,
-        summary_path=summary_path,
-        summary=summary,
-    )
+    for partial, path in zip(partials, paths):
+        partial.replace(path)
+    return ExperimentResult(out, *paths, summary)
 
 
 def _seed_summary(result, scenario: NetworkScenario) -> dict:
@@ -389,9 +397,21 @@ def _seed_summary(result, scenario: NetworkScenario) -> dict:
 # -- figure emitters ---------------------------------------------------------
 
 
-def _read_csv(path: Path) -> list[dict]:
+def _column_sums(path: Path, key_names, value_names, key=tuple) -> dict:
+    """Stream a CSV into {key(key columns as strings): [sum of each value column, row count]}.
+    Sums run from 0.0 in row order, the order of the builtin sum() before
+    CPython 3.12, so there sum / count equals _mean of the same values."""
+    acc: dict = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        keys, values = ([header.index(name) for name in names] for names in (key_names, value_names))
+        for row in reader:
+            sums = acc.setdefault(key([row[i] for i in keys]), [0.0] * len(values) + [0])
+            for j, i in enumerate(values):
+                sums[j] += float(row[i])
+            sums[-1] += 1
+    return acc
 
 
 def _load_summary(metrics_dir: Path) -> dict:
@@ -421,14 +441,10 @@ def emit_figure_data(metrics_dir, kind: str) -> Path:
     out_path = fig_dir / f"{kind}.csv"
 
     if kind == "reward_curve":
-        rows = _read_csv(metrics_dir / "metrics.csv")
-        per_episode: dict[tuple[str, int, int], float] = {}
-        for r in rows:
-            key = (r["run_id"], int(r["seed"]), int(r["episode"]))
-            per_episode[key] = per_episode.get(key, 0.0) + float(r["reward"])
+        per_episode = _column_sums(metrics_dir / "metrics.csv", ("run_id", "seed", "episode"), ("reward",))
         grouped: dict[tuple[str, int], list[float]] = {}
-        for (run_id, _seed, episode), total in per_episode.items():
-            grouped.setdefault((run_id, episode), []).append(total)
+        for (run_id, _seed, episode), (total, _count) in per_episode.items():
+            grouped.setdefault((run_id, int(episode)), []).append(total)
         out_rows = [
             (run_id, episode, _mean(vals), _stderr(vals))
             for (run_id, episode), vals in sorted(grouped.items())
@@ -454,18 +470,10 @@ def emit_figure_data(metrics_dir, kind: str) -> Path:
         )
 
     elif kind == "energy_vs_slot":
-        rows = _read_csv(metrics_dir / "eval.csv")
-        if not rows:
+        sums = _column_sums(metrics_dir / "eval.csv", ("run_id", "slot"), ("energy_j", "moving_avg_energy_j"))
+        if not sums:
             raise ConfigError("figure energy_vs_slot: eval.csv has no rows")
-        grouped: dict[tuple[str, int], list[tuple[float, float]]] = {}
-        for r in rows:
-            grouped.setdefault((r["run_id"], int(r["slot"])), []).append(
-                (float(r["energy_j"]), float(r["moving_avg_energy_j"]))
-            )
-        out_rows = [
-            (run_id, slot, _mean(e for e, _ in vals), _mean(m for _, m in vals))
-            for (run_id, slot), vals in sorted(grouped.items())
-        ]
+        out_rows = sorted((run_id, int(slot), e / n, m / n) for (run_id, slot), (e, m, n) in sums.items())
         _write_csv(out_path, ("run_id", "slot", "energy_j_mean", "moving_avg_energy_j_mean"), out_rows)
 
     elif kind == "tradeoff_vs_V":
@@ -484,23 +492,20 @@ def emit_figure_data(metrics_dir, kind: str) -> Path:
         )
 
     else:  # runtime_table
-        timing = _read_csv(metrics_dir / "timing.csv")
-        if not timing:
-            raise ConfigError("figure runtime_table: timing.csv has no rows")
-        run_info = {run_id: info for run_id, info in summary["runs"].items()}
         base_k = summary["config"]["scenario"]["k_links"]
-        samples: dict[tuple[str, int], list[float]] = {}
-        for r in timing:
-            info = run_info[r["run_id"]]
-            k = info["sweep"].get("k_links", base_k)
-            samples.setdefault((info["agent"], int(k)), []).append(float(r["inference_ms"]))
-        agents = sorted({a for a, _ in samples})
-        k_values = sorted({k for _, k in samples})
+        agent_k = {
+            run_id: (info["agent"], int(info["sweep"].get("k_links", base_k)))
+            for run_id, info in summary["runs"].items()
+        }
+        sums = _column_sums(
+            metrics_dir / "timing.csv", ("run_id",), ("inference_ms",), key=lambda cols: agent_k[cols[0]]
+        )
+        if not sums:
+            raise ConfigError("figure runtime_table: timing.csv has no rows")
+        means = {key: total / n for key, (total, n) in sums.items()}
+        k_values = sorted({k for _, k in means})
         header = ("agent", *(f"k_{k}" for k in k_values))
-        out_rows = [
-            (agent, *(_mean(samples[(agent, k)]) if (agent, k) in samples else "" for k in k_values))
-            for agent in agents
-        ]
+        out_rows = [(agent, *(means.get((agent, k), "") for k in k_values)) for agent in sorted({a for a, _ in means})]
         _write_csv(out_path, header, out_rows)
 
     return out_path

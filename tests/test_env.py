@@ -10,7 +10,6 @@ from skysched.energy import PowerModelParams
 from skysched.errors import EpisodeExhaustedError, NonFiniteActionError
 from skysched.env import (
     FeasibleAction,
-    LinkPairing,
     NetworkScenario,
     StateNormalizer,
     VehicularEnv,
@@ -418,42 +417,35 @@ def test_queue_dynamics_follow_update_rule():
 
 
 def test_default_pairing_and_validation():
-    pairing = default_pairing(range(12), 4, 4)
-    assert pairing.v2u_tx == (0, 1, 2, 3)
-    assert pairing.v2v_pairs[0] == (4, 5)
+    v2u_tx, v2v_pairs = default_pairing(range(12), 4, 4)
+    assert v2u_tx == (0, 1, 2, 3)
+    assert v2v_pairs[0] == (4, 5)
     with pytest.raises(ValueError):
         default_pairing(range(11), 4, 4)
-    with pytest.raises(ValueError):
-        LinkPairing(v2u_tx=(0,), v2v_pairs=((1, 1),))
 
 
 def test_pairing_resolves_ids_to_trace_columns():
-    """A pairing over shuffled, non-contiguous ids picks the right trace
-    columns for the UAV start and for every link endpoint."""
+    """The default pairing over shuffled, non-contiguous ids picks the right
+    trace columns for the UAV start and for every link endpoint."""
     platoon = generate_platoon(9, 13.89, 25.0, 6, seed=3)
     ids = [30, 12, 7, 41, 5, 26, 18, 2, 9]
     trace = MobilityTrace(ids, platoon.x, platoon.y, platoon.speed)
-    pairing = LinkPairing(v2u_tx=(26, 2, 30), v2v_pairs=((7, 41), (9, 12), (5, 18)))
-    scenario = toy_scenario(m=3, k=3, n_slots=5, pairing=pairing)
+    v2u_tx, v2v_pairs = default_pairing(ids, 3, 3)
+    assert v2u_tx == (2, 5, 7) and v2v_pairs == ((9, 12), (18, 26), (30, 41))
+    scenario = toy_scenario(m=3, k=3, n_slots=5)
     env = VehicularEnv(scenario, ChannelParams(), PowerModelParams(), LyapunovConfig(), trace, seed=4)
     _state, info = env.reset()
 
     column = {vid: i for i, vid in enumerate(ids)}
-    v2u = [column[vid] for vid in pairing.v2u_tx]
+    v2u = [column[vid] for vid in v2u_tx]
     assert info["uav"].x == np.mean(trace.x[0, v2u])
     frame = trace.frame(0)
     rng = np.random.default_rng((4, 0, 0, 0))
-    pairs = frame[[[column[tx], column[rx]] for tx, rx in pairing.v2v_pairs]]
+    pairs = frame[[[column[tx], column[rx]] for tx, rx in v2v_pairs]]
     uav = UavState(x=info["uav"].x, y=info["uav"].y, altitude=scenario.uav_initial_altitude)
     expected = assemble_gains(uav, frame[v2u], pairs, draw_fading(3, 3, rng), ChannelParams(), rng)
     for name in ("h_u_m", "h_u_k", "h_v_k", "h_v_mk"):
         assert np.array_equal(getattr(info["gains"], name), getattr(expected, name)), name
-
-
-def test_pairing_with_ids_missing_from_trace_is_rejected():
-    pairing = LinkPairing(v2u_tx=(0, 1, 99), v2v_pairs=((3, 4), (5, 6), (7, 8)))
-    with pytest.raises(ValueError, match=r"missing from trace: \[99\]"):
-        make_env(toy_scenario(m=3, k=3, pairing=pairing))
 
 
 def test_scenario_validation():

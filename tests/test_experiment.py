@@ -1,16 +1,17 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
 
-from skysched import agents, env as env_module
+from skysched import agents, env as env_module, experiment
 from skysched.channel import bessel_j0
 from skysched.cli import main as cli_main
 from skysched.env import VehicularEnv
-from skysched.errors import ConfigError, NonFiniteActionError, NonFiniteRewardError
+from skysched.errors import ConfigError, NonFiniteActionError, NonFiniteLossError, NonFiniteRewardError
 from skysched.experiment import (
     _build_trace,
     emit_figure_data,
@@ -193,6 +194,96 @@ def test_run_fails_loudly_naming_run_episode_and_slot(tmp_path, monkeypatch, own
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, rule, value",
+    [
+        ("ddpg", "critic_td_update", "critic loss"),
+        ("ddpg", "actor_pg_update", "mean Q"),
+        ("h_ddqn", "ddqn_update", "double-Q loss"),
+    ],
+)
+def test_non_finite_loss_fails_loudly_naming_run_seed_and_update(tmp_path, monkeypatch, kind, rule, value):
+    """An update rule returning NaN on its 3rd call stops the run with an
+    error naming the run, seed, update count and which value it was."""
+    monkeypatch.setattr(agents, rule, _nan_on_call(getattr(agents, rule), 3))
+    raw = base_config(tmp_path / "out")
+    raw["agents"]["kinds"] = [kind]
+    with pytest.raises(NonFiniteLossError, match=f"run {kind}, seed 0: update 3: {value} is nan"):
+        run_experiment(parse_config(raw))
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+FINAL_NAMES = ("metrics.csv", "eval.csv", "timing.csv", "summary.json")
+
+
+def test_interrupted_run_keeps_completed_seeds_and_reruns_identically(tmp_path, monkeypatch):
+    """A run that fails in the 2nd seed's train() leaves no final-named file,
+    and metrics.csv.partial holds exactly seed 0's rows. A rerun into the same
+    directory is byte-identical to an uninterrupted run."""
+    whole = run_experiment(parse_config(base_config(tmp_path / "whole", seeds=[0, 1])))
+    calls = []
+
+    def failing_train(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return agents.train(*args, **kwargs)
+
+    cfg = parse_config(base_config(tmp_path / "out", seeds=[0, 1]))
+    monkeypatch.setattr(experiment, "train", failing_train)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_experiment(cfg)
+    out = tmp_path / "out"
+    assert not any((out / name).exists() for name in FINAL_NAMES)
+    header, *lines = whole.metrics_path.read_text().splitlines(keepends=True)
+    seed0 = [line for line in lines if line.split(",")[1] == "0"]
+    assert len(seed0) == 2 * 8
+    assert (out / "metrics.csv.partial").read_text() == header + "".join(seed0)
+
+    monkeypatch.setattr(experiment, "train", agents.train)
+    rerun = run_experiment(cfg)
+    assert sorted(p.name for p in out.iterdir()) == sorted(FINAL_NAMES)
+    for name in ("metrics_path", "eval_path"):
+        assert getattr(rerun, name).read_bytes() == getattr(whole, name).read_bytes()
+    assert rerun.summary_path.read_text().replace(str(out), "") == whole.summary_path.read_text().replace(
+        str(tmp_path / "whole"), ""
+    )
+
+
+def _rows_only_train(kind, env, hp, seed, episodes, *, run_id):
+    """Stands in for train(): fresh rows of a 25-episode, 100-slot run, without env steps."""
+
+    def episode_rows(episode):
+        return [
+            agents.SlotRecord(run_id, seed, episode, t, -1.0 - t, 2.0 + t, 3.0 + t, 4.0 + t, 5.0 + t, 0, 0.5 + t)
+            for t in range(100)
+        ]
+
+    records = [row for episode in range(25) for row in episode_rows(episode)]
+    return agents.TrainResult([-1.0] * 25, records, None, episode_rows(25))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_holds_one_seed_of_rows(tmp_path, monkeypatch):
+    """Each seed's rows go to disk when its train() returns, so a 4-seed run
+    peaks within 10% of a 1-seed run (2,600 rows per seed)."""
+    monkeypatch.setattr(experiment, "train", _rows_only_train)
+    peaks = [
+        _traced_peak(run_experiment, parse_config(base_config(tmp_path / f"s{len(seeds)}", seeds=seeds)))
+        for seeds in ([0], [0, 1, 2, 3])
+    ]
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert len(read_rows(tmp_path / "s4" / "metrics.csv")) == 4 * 25 * 100
+
+
 def test_row_order_under_a_sweep_and_several_seeds(tmp_path):
     """Rows come in (sweep point, kind, seed) order: metrics.csv holds the
     training rows, eval.csv the evaluation rows, and timing.csv each run's
@@ -313,7 +404,34 @@ def test_runtime_table_shape(delay_sweep_dir):
     assert len(rows) == 1  # one agent
     assert rows[0]["agent"] == "random"
     assert "k_3" in rows[0]
-    assert float(rows[0]["k_3"]) >= 0.0
+    inference_ms = [float(r["inference_ms"]) for r in read_rows(delay_sweep_dir / "timing.csv")]
+    assert float(rows[0]["k_3"]) == pytest.approx(sum(inference_ms) / len(inference_ms), rel=1e-12)
+
+
+def _synthetic_outputs(directory, slots):
+    """summary.json plus metrics.csv, eval.csv and timing.csv of one run with
+    2 seeds x 10 episodes x the given slots."""
+    directory.mkdir()
+    summary = {"config": {"scenario": {"k_links": 3}}, "runs": {"random": {"agent": "random", "sweep": {}}}}
+    (directory / "summary.json").write_text(json.dumps(summary))
+    keys = [(seed, episode, t) for seed in (0, 1) for episode in range(10) for t in range(slots)]
+    with open(directory / "metrics.csv", "w") as fh:
+        fh.write("run_id,seed,episode,slot,reward,mean_v2u_rate_mbps,energy_j,moving_avg_energy_j,queue_j,outage_violations\n")
+        fh.writelines(f"random,{s},{e},{t},-{t}.5,1.5,2.5,3.5,4.5,0\n" for s, e, t in keys)
+    with open(directory / "timing.csv", "w") as fh:
+        fh.write("run_id,seed,episode,slot,inference_ms\n")
+        fh.writelines(f"random,{s},{e},{t},0.{t}\n" for s, e, t in keys)
+
+
+@pytest.mark.parametrize("kind", ["reward_curve", "runtime_table"])
+def test_streamed_figure_peak_does_not_grow_with_rows(tmp_path, kind):
+    """The emitters stream their CSV, so 4x the rows (20,000 against 5,000)
+    leaves the tracemalloc peak within 10%."""
+    peaks = []
+    for slots in (250, 1000):
+        _synthetic_outputs(tmp_path / str(slots), slots)
+        peaks.append(_traced_peak(emit_figure_data, tmp_path / str(slots), kind))
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_rate_vs_k_figure(tmp_path):
