@@ -7,10 +7,12 @@ first-order Gauss-Markov step with correlation J0(2*pi*f_c*s_rel*T_delay/c).
 All SINR and rate math is linear SI; dB is converted exactly once when gains
 are assembled.
 
-Each formula is written once over numpy arrays of links, so a slot's gains,
-SINRs and rates take one array pass per link family and J0 is evaluated once
-per link. Link endpoints are (id, x, y, speed) rows taken from the mobility
-trace's arrays; the scalar functions wrap the same formulas for one link.
+Each formula is written once over numpy arrays of links. What depends only
+on the mobility trace (V2V path loss, relative speed, J0, and the positions of
+the transmitters the UAV hears) is tabled once per trace by link_geometry, so
+a slot's gains take the slot's table rows, its fading, and one array pass for
+the V2U family at the UAV's position. The scalar functions wrap the same
+formulas for one link.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.special import expit
 from scipy.special import j0 as _scipy_j0
 
 from .errors import InvalidGeometryError
-from .mobility import UavState, VehicleState
+from .mobility import MobilityTrace, UavState, VehicleState
 
 
 @dataclass(frozen=True)
@@ -63,14 +65,34 @@ class ChannelParams:
 class FadingState:
     """One slot's small-scale fading draws, all CN(0,1).
 
-    g_u_m / g_u_k feed the V2U-family gains (no aging). g_v_k_hat / g_v_mk_hat
-    are the pre-delay V2V coefficients that the Gauss-Markov step ages.
+    g_u feeds the V2U-family gains (no aging): the M V2U transmitters, then
+    the K V2V transmitters, heard at the UAV. g_v_hat is the V2V block of
+    pre-delay coefficients that the Gauss-Markov step ages: the K desired
+    links, then the M x K interference family row-major.
     """
 
-    g_u_m: np.ndarray  # (M,) complex
-    g_u_k: np.ndarray  # (K,) complex
-    g_v_k_hat: np.ndarray  # (K,) complex
-    g_v_mk_hat: np.ndarray  # (M, K) complex
+    g_u: np.ndarray  # (M + K,) complex
+    g_u_power: np.ndarray  # (M + K,) |g_u|^2
+    g_v_hat: np.ndarray  # (K + M*K,) complex
+
+
+@dataclass(frozen=True)
+class LinkGeometry:
+    """The trace-only part of every link, one row per slot, read-only.
+
+    Columns of the V2V tables follow the V2V block (K desired links, then the
+    M x K interference family row-major: V2U transmitter m to the receiver of
+    pair k); columns of tx_x / tx_y follow the V2U family (the M V2U
+    transmitters, then the K V2V transmitters).
+    """
+
+    m_links: int
+    k_links: int
+    pl_v_linear: np.ndarray  # (T, K + M*K) V2V path loss, linear
+    s_rel_v: np.ndarray  # (T, K + M*K) relative speed floored at s_rel_min, m/s
+    rho_v: np.ndarray  # (T, K + M*K) aging correlation
+    tx_x: np.ndarray  # (T, M + K) V2U-family transmitter x, m
+    tx_y: np.ndarray  # (T, M + K) V2U-family transmitter y, m
 
 
 @dataclass(frozen=True)
@@ -78,9 +100,10 @@ class LinkGains:
     """All per-slot linear power gains plus the pieces needed to re-age them.
 
     h_v_k / h_v_mk are built from aged fading; the *_hat variants from the
-    pre-delay fading (used by the delay-blind observation mode). pl_*_linear,
-    rho_* and g_*_hat support outage Monte-Carlo redraws of the discrepancy
-    term with path loss and pre-delay fading held fixed.
+    pre-delay fading (used by the delay-blind observation mode). pl_v_linear,
+    rho_v and g_v_hat are the V2V block (K desired links, then the M x K
+    interference family row-major) and support outage Monte-Carlo redraws of
+    the discrepancy term with path loss and pre-delay fading held fixed.
     """
 
     h_u_m: np.ndarray  # (M,)
@@ -89,12 +112,9 @@ class LinkGains:
     h_v_mk: np.ndarray  # (M, K)
     h_v_k_hat: np.ndarray  # (K,)
     h_v_mk_hat: np.ndarray  # (M, K)
-    pl_v_k_linear: np.ndarray  # (K,)
-    pl_v_mk_linear: np.ndarray  # (M, K)
-    rho_v_k: np.ndarray  # (K,) aging correlation per V2V desired link
-    rho_v_mk: np.ndarray  # (M, K)
-    g_v_k_hat: np.ndarray  # (K,) complex
-    g_v_mk_hat: np.ndarray  # (M, K) complex
+    pl_v_linear: np.ndarray  # (K + M*K,)
+    rho_v: np.ndarray  # (K + M*K,) aging correlation per V2V link
+    g_v_hat: np.ndarray  # (K + M*K,) complex
 
 
 def db_to_linear(db):
@@ -124,7 +144,7 @@ def _v2u_path_loss(uav: UavState, horiz, params: ChannelParams, pr_los=None):
     free-space variants mixed in dB by pr_los (default: the elevation-angle
     probability)."""
     d = np.sqrt(uav.altitude**2 + horiz**2)
-    if not np.all(d > 0.0):
+    if not (d > 0.0).all():
         raise InvalidGeometryError("V2U link has zero 3-D distance")
     if pr_los is None:
         pr_los = _los_probability(uav, horiz, params)
@@ -132,13 +152,8 @@ def _v2u_path_loss(uav: UavState, horiz, params: ChannelParams, pr_los=None):
     return pr_los * (fspl + params.alpha_los) + (1.0 - pr_los) * (fspl + params.alpha_nlos)
 
 
-def _v2v_path_loss(tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    """Ground-to-ground path loss in dB, 44.23 + 16.7*log10(d), between
-    matching rows of two (n, 4) kinematics arrays."""
-    d = np.hypot(tx[:, 1] - rx[:, 1], tx[:, 2] - rx[:, 2])
-    if not np.all(d > 0.0):
-        i = np.argmin(d)
-        raise InvalidGeometryError(f"V2V link {int(tx[i, 0])}->{int(rx[i, 0])} has zero distance")
+def _v2v_path_loss(d):
+    """Ground-to-ground path loss in dB, 44.23 + 16.7*log10(d), at distances d."""
     return 44.23 + 16.7 * np.log10(d)
 
 
@@ -172,8 +187,10 @@ def v2u_path_loss(uav: UavState, vehicle: VehicleState, params: ChannelParams, *
 
 def v2v_path_loss(tx: VehicleState, rx: VehicleState) -> float:
     """Ground-to-ground path loss in dB of one V2V link: 44.23 + 16.7*log10(d)."""
-    rows = np.array([(v.id, v.x, v.y, v.speed) for v in (tx, rx)], dtype=float)
-    return float(_v2v_path_loss(rows[:1], rows[1:])[0])
+    d = np.hypot(tx.x - rx.x, tx.y - rx.y)
+    if not d > 0.0:
+        raise InvalidGeometryError(f"V2V link {tx.id}->{rx.id} has zero distance")
+    return float(_v2v_path_loss(d))
 
 
 def aging_correlation(s_rel, params: ChannelParams):
@@ -195,63 +212,83 @@ def age_fading(g_hat, s_rel, params: ChannelParams, rng: np.random.Generator):
 
 
 def draw_fading(m_links: int, k_links: int, rng: np.random.Generator) -> FadingState:
-    """Draw one slot's i.i.d. CN(0,1) coefficients (real/imag each N(0, 1/2))."""
+    """Draw one slot's i.i.d. CN(0,1) coefficients (real/imag each N(0, 1/2)).
 
-    def cn01(shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * math.sqrt(0.5)
+    One draw of 2*(M + 2K + M*K) normals holds, family by family (g_u_m,
+    g_u_k, g_v_k_hat, g_v_mk_hat), its real parts and then its imaginary
+    parts: the stream of drawing each family's parts in turn.
+    """
+    sizes = (m_links, k_links, k_links, m_links * k_links)
+    draws = rng.standard_normal(2 * sum(sizes))
+    families, start = [], 0
+    for n in sizes:
+        families.append(draws[start : start + 2 * n].reshape(2, n))
+        start += 2 * n
+    re, im = np.concatenate(families, axis=1)
+    g = (re + 1j * im) * math.sqrt(0.5)
+    g_u = g[: m_links + k_links]
+    return FadingState(g_u=g_u, g_u_power=np.abs(g_u) ** 2, g_v_hat=g[m_links + k_links :])
 
-    return FadingState(
-        g_u_m=cn01(m_links),
-        g_u_k=cn01(k_links),
-        g_v_k_hat=cn01(k_links),
-        g_v_mk_hat=cn01((m_links, k_links)),
-    )
+
+def link_geometry(
+    trace: MobilityTrace, v2u_cols: np.ndarray, pair_cols: np.ndarray, n_slots: int, params: ChannelParams
+) -> LinkGeometry:
+    """Table slots 0..n_slots-1 of the links between the V2U transmitters in
+    trace columns v2u_cols (M,) and the V2V (tx, rx) pairs in pair_cols (K, 2).
+
+    Raises InvalidGeometryError naming the first slot and V2V link whose
+    endpoints coincide.
+    """
+    m_links, k_links = len(v2u_cols), len(pair_cols)
+    x, y, speed = (a[:n_slots] for a in (trace.x, trace.y, trace.speed))
+    tx = np.concatenate([pair_cols[:, 0], np.repeat(v2u_cols, k_links)])
+    rx = np.tile(pair_cols[:, 1], m_links + 1)
+    d = np.hypot(x[:, tx] - x[:, rx], y[:, tx] - y[:, rx])
+    if not np.all(d > 0.0):
+        t, i = np.argwhere(~(d > 0.0))[0]
+        raise InvalidGeometryError(f"slot {t}: V2V link {trace.ids[tx[i]]}->{trace.ids[rx[i]]} has zero distance")
+    s_rel = np.maximum(np.abs(speed[:, tx] - speed[:, rx]), params.s_rel_min)
+    heard = np.concatenate([v2u_cols, pair_cols[:, 0]])
+    tables = (db_to_linear(_v2v_path_loss(d)), s_rel, aging_correlation(s_rel, params), x[:, heard], y[:, heard])
+    for table in tables:
+        table.flags.writeable = False
+    return LinkGeometry(m_links, k_links, *tables)
 
 
-def v2u_family_gains(uav: UavState, v2u_tx, v2v_pairs, fading: FadingState, params: ChannelParams):
+def v2u_family_gains(uav: UavState, geometry: LinkGeometry, slot: int, fading: FadingState, params: ChannelParams):
     """(h_u_m, h_u_k): |g|^2 / PL_linear from the M V2U transmitters and the K
-    V2V transmitters to the UAV, the only gains that depend on its altitude.
-    The endpoints are (id, x, y, speed) rows as in assemble_gains."""
-    kin = np.concatenate([v2u_tx, v2v_pairs[:, 0]])
-    pl = db_to_linear(_v2u_path_loss(uav, _horizontal(uav, kin[:, 1], kin[:, 2]), params))
-    h = np.abs(np.concatenate([fading.g_u_m, fading.g_u_k])) ** 2 / pl
-    return h[: len(v2u_tx)], h[len(v2u_tx) :]
+    V2V transmitters to the UAV, the only gains that depend on its altitude."""
+    horiz = _horizontal(uav, geometry.tx_x[slot], geometry.tx_y[slot])
+    h = fading.g_u_power / db_to_linear(_v2u_path_loss(uav, horiz, params))
+    return h[: geometry.m_links], h[geometry.m_links :]
 
 
 def assemble_gains(
     uav: UavState,
-    v2u_tx: np.ndarray,
-    v2v_pairs: np.ndarray,
+    geometry: LinkGeometry,
+    slot: int,
     fading: FadingState,
     params: ChannelParams,
     rng: np.random.Generator,
 ) -> LinkGains:
-    """Compose |g|^2 / PL_linear for every link family at the given geometry.
+    """Compose |g|^2 / PL_linear for every link family from the slot's rows of
+    the geometry tables and the UAV's position.
 
-    The endpoints are (id, x, y, speed) rows: v2u_tx is (M, 4), the M V2U
-    transmitters; v2v_pairs is (K, 2, 4), the K (tx, rx) vehicle pairs. The
-    V2V families form one block of K + M*K links, the desired links first and
-    then the M x K interference family row-major; the aged gains apply the
-    Gauss-Markov step to it in that order, and the pre-delay gains use the
-    raw coefficients.
+    The aged V2V gains apply the Gauss-Markov step to the V2V block in block
+    order; the pre-delay gains use the raw coefficients.
     """
-    m_links, k_links = len(v2u_tx), len(v2v_pairs)
-    if fading.g_u_m.shape != (m_links,) or fading.g_v_mk_hat.shape != (m_links, k_links):
+    m_links, k_links = geometry.m_links, geometry.k_links
+    if fading.g_u.shape != (m_links + k_links,) or fading.g_v_hat.shape != (k_links + m_links * k_links,):
         raise ValueError("fading dimensions do not match link counts")
-    tx = np.concatenate([v2v_pairs[:, 0], np.repeat(v2u_tx, k_links, axis=0)])
-    rx = np.tile(v2v_pairs[:, 1], (m_links + 1, 1))
-    pl = db_to_linear(_v2v_path_loss(tx, rx))
-    s_rel = np.maximum(np.abs(tx[:, 3] - rx[:, 3]), params.s_rel_min)
-    rho = aging_correlation(s_rel, params)
-    g_hat = np.concatenate([fading.g_v_k_hat, fading.g_v_mk_hat.ravel()])
-    h = np.abs(_age(g_hat, s_rel, rho, params, rng)) ** 2 / pl
+    pl, rho = geometry.pl_v_linear[slot], geometry.rho_v[slot]
+    h = np.abs(_age(fading.g_v_hat, geometry.s_rel_v[slot], rho, params, rng)) ** 2 / pl
+    h_hat = np.abs(fading.g_v_hat) ** 2 / pl
 
     def split(block):
         return block[:k_links], block[k_links:].reshape(m_links, k_links)
 
-    # LinkGains lists each V2V quantity as its (K,) desired part, then its (M, K) interference part.
-    h_u = v2u_family_gains(uav, v2u_tx, v2v_pairs, fading, params)
-    return LinkGains(*h_u, *split(h), *split(np.abs(g_hat) ** 2 / pl), *split(pl), *split(rho), *split(g_hat))
+    h_u = v2u_family_gains(uav, geometry, slot, fading, params)
+    return LinkGains(*h_u, *split(h), *split(h_hat), pl, rho, fading.g_v_hat)
 
 
 def v2u_sinr(gains: LinkGains, action, params: ChannelParams) -> np.ndarray:
@@ -271,6 +308,6 @@ def v2v_sinr(gains: LinkGains, action, params: ChannelParams) -> np.ndarray:
 def v2u_rate(gamma, params: ChannelParams):
     """Shannon rate B*log2(1+gamma) in bits/second, for one SINR or an array."""
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0.0):
+    if (gamma < 0.0).any():
         raise ValueError(f"SINR must be >= 0, got {gamma}")
     return params.bandwidth_per_channel * np.log2(1.0 + gamma)

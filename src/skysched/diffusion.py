@@ -25,7 +25,8 @@ class DiffusionSchedule:
     """Diffusion rates and derived arrays; entry j holds step i = j + 1.
 
     beta_bar[0] is 0 by the phi_bar_0 := 1 convention, so the last denoising
-    step is deterministic.
+    step is deterministic. The reverse step's constants are tabled per step:
+    mean (pi_i - eps_coeff_i*eps_hat)/sqrt_phi_i, noise sqrt(beta_bar_i).
     """
 
     steps: int
@@ -35,6 +36,9 @@ class DiffusionSchedule:
     phi: np.ndarray
     phi_bar: np.ndarray
     beta_bar: np.ndarray
+    sqrt_phi: np.ndarray
+    eps_coeff: np.ndarray  # (1 - phi_i) / sqrt(1 - phi_bar_i)
+    noise_scale: np.ndarray  # sqrt(beta_bar_i)
 
 
 def build_schedule(steps: int, beta_min: float = 0.1, beta_max: float = 10.0) -> DiffusionSchedule:
@@ -59,6 +63,9 @@ def build_schedule(steps: int, beta_min: float = 0.1, beta_max: float = 10.0) ->
         phi=phi,
         phi_bar=phi_bar,
         beta_bar=beta_bar,
+        sqrt_phi=np.sqrt(phi),
+        eps_coeff=(1.0 - phi) / np.sqrt(1.0 - phi_bar),
+        noise_scale=np.sqrt(beta_bar),
     )
 
 
@@ -78,9 +85,7 @@ def posterior_mean(pi_i: np.ndarray, eps_hat: np.ndarray, i: int, schedule: Diff
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     if eps_hat.shape != pi_i.shape:
         raise ValueError("eps_hat shape must match pi_i")
-    phi_i = schedule.phi[i - 1]
-    coeff = (1.0 - phi_i) / math.sqrt(1.0 - schedule.phi_bar[i - 1])
-    return (pi_i - coeff * eps_hat) / math.sqrt(phi_i)
+    return (pi_i - schedule.eps_coeff[i - 1] * eps_hat) / schedule.sqrt_phi[i - 1]
 
 
 def _reverse_chain(
@@ -101,26 +106,30 @@ def _reverse_chain(
     consumes the rng exactly like B single-state chains.
     """
     steps, dim = schedule.steps, denoiser.n_out
-    noisy = [] if evaluation else [i for i in range(steps, 0, -1) if schedule.beta_bar[i - 1] > 0.0]
+    noisy = 0 if evaluation else int(np.count_nonzero(schedule.beta_bar > 0.0))
     lead = np.shape(state)[:-1]
-    draws = rng.standard_normal(lead + (1 + len(noisy), dim))
-    # Denoiser input (pi, one-hot step, state): per step only pi and the hot entry change.
-    blank = np.concatenate([np.zeros(lead + (dim + steps,)), state], axis=-1)
+    draws = rng.standard_normal(lead + (1 + noisy, dim))
+    # Denoiser input (pi, one-hot step, state): per step only pi and the hot
+    # entry change, so a tape-free chain rewrites one buffer in place.
+    x = np.concatenate([np.zeros(lead + (dim + steps,)), state], axis=-1)
     pi = draws[..., 0, :]
     drawn = 0
     for i in range(steps, 0, -1):
-        x = blank.copy()
+        if tapes is not None:
+            x = x.copy()  # each tape keeps its own step's input
         x[..., :dim] = pi
+        if i < steps:
+            x[..., dim + i] = 0.0
         x[..., dim + i - 1] = 1.0
         if tapes is None:
             eps_hat = forward_only(denoiser, x)
         else:
             eps_hat, tape = forward(denoiser, x)
             tapes.append(tape)
-        pi = posterior_mean(pi, eps_hat, i, schedule)
-        if i in noisy:
+        pi = (pi - schedule.eps_coeff[i - 1] * eps_hat) / schedule.sqrt_phi[i - 1]
+        if noisy and schedule.beta_bar[i - 1] > 0.0:
             drawn += 1
-            pi = pi + math.sqrt(schedule.beta_bar[i - 1]) * draws[..., drawn, :]
+            pi += schedule.noise_scale[i - 1] * draws[..., drawn, :]
     return pi
 
 
@@ -181,10 +190,8 @@ def chain_backward(
     # chain.tapes[idx] corresponds to step i = steps - idx; walk back up.
     for idx in range(len(chain.tapes) - 1, -1, -1):
         i = schedule.steps - idx
-        phi_i = schedule.phi[i - 1]
-        sqrt_phi = math.sqrt(phi_i)
-        coeff = (1.0 - phi_i) / math.sqrt(1.0 - schedule.phi_bar[i - 1])
-        d_eps = -(coeff / sqrt_phi) * d_pi
+        sqrt_phi = schedule.sqrt_phi[i - 1]
+        d_eps = -(schedule.eps_coeff[i - 1] / sqrt_phi) * d_pi
         step_grads, d_input = backward(denoiser, chain.tapes[idx], d_eps)
         grads += step_grads
         d_pi = d_pi / sqrt_phi + d_input[..., :dim]

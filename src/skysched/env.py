@@ -13,8 +13,10 @@ running per-entry standardization frozen after a warm-up, then Q(t)/E_th.
 
 A step scores the decision over all links at once: one gain reprice for the
 V2U family, one (M,) SINR and rate array, and one (K,) outage Monte Carlo.
-Its geometry is the slot's row of the trace arrays, taken at the default
-pairing's trace columns, which the env resolves once when it is built.
+Everything that depends only on the trace (V2V path loss, aging correlation,
+the positions of the transmitters the UAV hears, the V2U centroid) is tabled
+once when the env is built, at the default pairing's trace columns; a slot
+adds only its fading draw, the UAV's position and the action.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .channel import (
     LinkGains,
     assemble_gains,
     draw_fading,
+    link_geometry,
     v2u_family_gains,
     v2u_rate,
     v2u_sinr,
@@ -138,27 +141,32 @@ def amend_action(raw: np.ndarray, scenario: NetworkScenario) -> FeasibleAction:
     infinite entries raise NonFiniteActionError naming their indices.
     """
     raw = np.asarray(raw, dtype=np.float64)
+    k_links, m_links = scenario.k_links, scenario.m_links
     if raw.shape != (scenario.action_dim,):
         raise ValueError(f"raw action shape {raw.shape} != ({scenario.action_dim},)")
     if not np.isfinite(raw).all():
         bad = np.flatnonzero(~np.isfinite(raw)).tolist()
         raise NonFiniteActionError(f"raw action has non-finite entries at indices {bad}")
-    scores, p_k, p_m, dh = split_raw_action(np.clip(raw, -1.0, 1.0), scenario)
-    k_links, m_links = scores.shape
+    clipped = np.maximum(raw, -1.0)
+    np.minimum(clipped, 1.0, out=clipped)
+    n_scores = k_links * m_links
     half = scenario.p_max / 2.0  # halving is exact, so this is (raw+1)/2 * p_max bit for bit
-    p_k, p_m = (p_k + 1.0) * half, (p_m + 1.0) * half
+    powers = (clipped[n_scores:-1] + 1.0) * half  # p_k, then p_m
 
-    rows = scores.tolist()
-    order = sorted(range(k_links), key=lambda k: -max(rows[k]))
+    scores = clipped[:n_scores].tolist()
+    rows = [scores[i : i + m_links] for i in range(0, n_scores, m_links)]
+    # sorted() is stable also with reverse=True, so ties keep the lower link first.
+    order = sorted(range(k_links), key=[max(row) for row in rows].__getitem__, reverse=True)
     free = list(range(m_links))  # ascending, so max() keeps the lowest index on ties
-    channels = []
+    cells = []
     for k in order:
         best = max(free, key=rows[k].__getitem__)
-        channels.append(best)
         free.remove(best)
+        cells.append(k * m_links + best)
     x = np.zeros((k_links, m_links), dtype=np.int64)
-    x[order, channels] = 1
-    return FeasibleAction(x=x, p_m=p_m, p_k=p_k, delta_h=float(dh) * scenario.dh_max)
+    x.put(cells, 1)
+    delta_h = float(clipped[-1]) * scenario.dh_max
+    return FeasibleAction(x=x, p_m=powers[k_links:], p_k=powers[:k_links], delta_h=delta_h)
 
 
 def estimate_outage(
@@ -183,26 +191,29 @@ def estimate_outage(
     bad = np.flatnonzero(action.x.sum(axis=1) != 1)
     if bad.size:
         raise ValueError(f"rows {bad.tolist()} of action.x do not hold exactly one channel")
+    k_links = len(action.p_k)
     channel = action.x.argmax(axis=1)
-    interferer = (channel, np.arange(len(channel)))
-    # (K, 2): the desired link, then its one interferer.
-    rho = np.stack([gains.rho_v_k, gains.rho_v_mk[interferer]], axis=1)
-    g_hat = np.stack([gains.g_v_k_hat, gains.g_v_mk_hat[interferer]], axis=1)
-    pl_linear = np.stack([gains.pl_v_k_linear, gains.pl_v_mk_linear[interferer]], axis=1)
-    tx_power = np.stack([action.p_k, action.p_m[channel]], axis=1)
+    # (K, 2) positions in the V2V block: link k, then its one interferer (channel m, link k) at K + m*K + k.
+    pick = np.zeros((k_links, 2), dtype=np.intp)
+    pick[:, 1] = (channel + 1) * k_links
+    pick += np.arange(k_links)[:, None]
+    rho, pl_linear = gains.rho_v[pick], gains.pl_v_linear[pick]
+    tx_power = np.empty((k_links, 2))
+    tx_power[:, 0] = action.p_k
+    tx_power[:, 1] = action.p_m[channel]
 
     scale = np.sqrt(np.maximum(0.0, 1.0 - rho * rho) / 2.0)
-    mean = rho[..., None] * np.stack([g_hat.real, g_hat.imag], axis=-1)  # (K, 2, 2): re, im
-    # In place on the draw, so the only large temporaries are (K, n).
-    samples = rng.standard_normal((len(channel), 2, 2, n_samples))
+    mean = rho[..., None] * gains.g_v_hat[pick].view(np.float64).reshape(k_links, 2, 2)  # re, im
+    # In place on the draw, so the only other large buffer is the (K, 2, n) power.
+    samples = rng.standard_normal((k_links, 2, 2, n_samples))
     samples *= scale[..., None, None]
     samples += mean[..., None]
     np.square(samples, out=samples)
-    power = np.add(samples[:, :, 0], samples[:, :, 1], out=samples[:, :, 0])  # |g|^2, (K, 2, n)
+    power = np.add(samples[:, :, 0], samples[:, :, 1], out=np.empty((k_links, 2, n_samples)))  # |g|^2
     power *= tx_power[..., None]
     power /= pl_linear[..., None]
     gamma = power[:, 0] / (power[:, 1] + params.noise_power)
-    return np.mean(gamma < gamma_threshold, axis=-1)
+    return np.count_nonzero(gamma < gamma_threshold, axis=-1) / n_samples
 
 
 class StateNormalizer:
@@ -291,7 +302,10 @@ class VehicularEnv:
         endpoints = (*v2u_tx, *(vid for pair in v2v_pairs for vid in pair))
         # Trace columns of the M V2U transmitters and of the K (tx, rx) pairs, resolved once.
         cols = np.array([columns[vid] for vid in endpoints], dtype=np.intp)
-        self._v2u_cols, self._pair_cols = cols[: scenario.m_links], cols[scenario.m_links :].reshape(-1, 2)
+        self._v2u_cols, pair_cols = cols[: scenario.m_links], cols[scenario.m_links :].reshape(-1, 2)
+        self._geometry = link_geometry(trace, self._v2u_cols, pair_cols, self.n_slots + 1, channel_params)
+        # Row by row: a 1-D mean sums pairwise, an axis=1 mean of a 2-D table need not.
+        self._centroid_x = [float(np.mean(row)) for row in self._geometry.tx_x[:, : scenario.m_links]]
         self.normalizer = StateNormalizer(scenario.state_dim - 1, normalizer_warmup)
         self._episode = -1
         self._slot = 0
@@ -300,18 +314,15 @@ class VehicularEnv:
         self._queue: VirtualQueue | None = None
         self._gains: LinkGains | None = None
         self._fading = None
-        self._endpoints: tuple[np.ndarray, np.ndarray] | None = None
 
     def _slot_rng(self, slot: int, stream: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, self._episode, slot, stream))
 
     def _observe_gains(self, uav: UavState, slot: int) -> LinkGains:
-        """Draw the slot's fading and gains; keep the fading and endpoint rows for the reprice."""
+        """Draw the slot's fading and gains; keep the fading for the reprice."""
         rng = self._slot_rng(slot, 0)
         self._fading = draw_fading(self.scenario.m_links, self.scenario.k_links, rng)
-        frame = self.trace.frame(slot)
-        self._endpoints = (frame[self._v2u_cols], frame[self._pair_cols])
-        return assemble_gains(uav, *self._endpoints, self._fading, self.channel_params, rng)
+        return assemble_gains(uav, self._geometry, slot, self._fading, self.channel_params, rng)
 
     # -- gym-style API -----------------------------------------------------
 
@@ -320,7 +331,7 @@ class VehicularEnv:
         self._slot = 0
         self._done = False
         self._uav = UavState(
-            x=float(np.mean(self.trace.x[0, self._v2u_cols])),
+            x=self._centroid_x[0],
             y=float(np.mean(self.trace.y[0, self._v2u_cols])),
             altitude=self.scenario.uav_initial_altitude,
             velocity=(self.scenario.uav_speed, 0.0, 0.0),
@@ -341,8 +352,7 @@ class VehicularEnv:
             raise NonFiniteActionError(f"episode {self._episode}, slot {self._slot}: {exc}") from exc
 
         # Horizontal: fixed-magnitude step toward the V2U transmitter centroid.
-        centroid_x = np.mean(self.trace.x[self._slot, self._v2u_cols])
-        signed_speed = math.copysign(scenario.uav_speed, centroid_x - self._uav.x)
+        signed_speed = math.copysign(scenario.uav_speed, self._centroid_x[self._slot] - self._uav.x)
         uav_next = advance_uav(
             self._uav,
             signed_speed,
@@ -355,7 +365,7 @@ class VehicularEnv:
         # Rates are earned under the commanded altitude (same-slot geometry and
         # fading); only the V2U family depends on it.
         commanded = replace(self._uav, altitude=uav_next.altitude)
-        h_u_m, h_u_k = v2u_family_gains(commanded, *self._endpoints, self._fading, self.channel_params)
+        h_u_m, h_u_k = v2u_family_gains(commanded, self._geometry, self._slot, self._fading, self.channel_params)
         realized = replace(self._gains, h_u_m=h_u_m, h_u_k=h_u_k)
 
         rates = v2u_rate(v2u_sinr(realized, feasible, self.channel_params), self.channel_params)

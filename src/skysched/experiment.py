@@ -307,13 +307,17 @@ def run_experiment(cfg: ExperimentConfig, *, progress=None) -> ExperimentResult:
     Each seed's rows are appended to <name>.partial files as soon as its
     train() returns, so memory holds one seed's rows at most. The files take
     their final names when every seed has run, summary.json last; a failed
-    run leaves only the .partial files, holding the completed seeds' rows.
+    run leaves only the .partial files, holding the completed seeds' rows. An
+    earlier run's final-named files are deleted first, so a failed rerun
+    leaves none of them to be read as its own.
     """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     trace = _build_trace(cfg)
     paths = [out / name for name in ("metrics.csv", "eval.csv", "timing.csv", "summary.json")]
     partials = [path.with_name(path.name + ".partial") for path in paths]
+    for path in paths:
+        path.unlink(missing_ok=True)
     runs_summary: dict[str, dict] = {}
 
     with ExitStack() as stack:

@@ -13,6 +13,7 @@ from skysched.channel import (
     bessel_j0,
     db_to_linear,
     draw_fading,
+    link_geometry,
     los_probability,
     v2u_family_gains,
     v2u_path_loss,
@@ -23,7 +24,7 @@ from skysched.channel import (
 )
 from skysched.env import FeasibleAction
 from skysched.errors import InvalidGeometryError
-from skysched.mobility import UavState, VehicleState, generate_platoon
+from skysched.mobility import MobilityTrace, UavState, VehicleState, generate_platoon
 
 
 def j0_series(x: float, terms: int = 30) -> float:
@@ -70,10 +71,16 @@ def make_vehicle(x=0.0, y=0.0, speed=13.89, vid=0):
     return VehicleState(id=vid, x=x, y=y, speed=speed)
 
 
-def endpoints(v2u, pairs):
-    """The (M, 4) and (K, 2, 4) (id, x, y, speed) rows that assemble_gains takes."""
-    rows = np.array([(v.id, v.x, v.y, v.speed) for v in [*v2u, *(v for pair in pairs for v in pair)]])
-    return rows[: len(v2u)], rows[len(v2u) :].reshape(-1, 2, 4)
+def one_slot_geometry(v2u, pairs, params):
+    """The link tables of one slot with the V2U transmitters v2u and the V2V
+    (tx, rx) pairs, from a one-slot trace of the distinct vehicles."""
+    vehicles = {v.id: v for v in [*v2u, *(v for pair in pairs for v in pair)]}
+    rows = ([[getattr(v, name) for v in vehicles.values()]] for name in ("x", "y", "speed"))
+    trace = MobilityTrace(list(vehicles), *rows)
+    column = {vid: i for i, vid in enumerate(vehicles)}
+    v2u_cols = np.array([column[v.id] for v in v2u])
+    pair_cols = np.array([[column[tx.id], column[rx.id]] for tx, rx in pairs])
+    return link_geometry(trace, v2u_cols, pair_cols, 1, params)
 
 
 def test_los_probability_at_angle_equal_to_a():
@@ -222,11 +229,26 @@ def test_age_fading_statistics():
 
 def unit_fading(m: int, k: int) -> FadingState:
     return FadingState(
-        g_u_m=np.ones(m, dtype=complex),
-        g_u_k=np.ones(k, dtype=complex),
-        g_v_k_hat=np.ones(k, dtype=complex),
-        g_v_mk_hat=np.ones((m, k), dtype=complex),
+        g_u=np.ones(m + k, dtype=complex), g_u_power=np.ones(m + k), g_v_hat=np.ones(k + m * k, dtype=complex)
     )
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (3, 2), (10, 10)])
+def test_draw_fading_is_the_per_family_stream(m, k):
+    """The one draw equals drawing each family's real parts, then its
+    imaginary parts, family by family, bit for bit."""
+    rng, reference = np.random.default_rng((m, k)), np.random.default_rng((m, k))
+
+    def cn01(shape):
+        return (reference.standard_normal(shape) + 1j * reference.standard_normal(shape)) * math.sqrt(0.5)
+
+    g_u_m, g_u_k, g_v_k_hat, g_v_mk_hat = cn01(m), cn01(k), cn01(k), cn01((m, k))
+    fading = draw_fading(m, k, rng)
+    g_u = np.concatenate([g_u_m, g_u_k])
+    assert np.array_equal(fading.g_u, g_u)
+    assert np.array_equal(fading.g_u_power, np.abs(g_u) ** 2)
+    assert np.array_equal(fading.g_v_hat, np.concatenate([g_v_k_hat, g_v_mk_hat.ravel()]))
+    assert rng.standard_normal() == reference.standard_normal()
 
 
 def test_gain_is_pathloss_inverse_for_unit_fading():
@@ -236,7 +258,8 @@ def test_gain_is_pathloss_inverse_for_unit_fading():
     uav = make_uav(altitude=100.0)
     tx = make_vehicle(x=0.0, vid=10)
     rx = make_vehicle(x=d, vid=11)
-    gains = assemble_gains(uav, *endpoints([tx], [(tx, rx)]), unit_fading(1, 1), params, np.random.default_rng(0))
+    geometry = one_slot_geometry([tx], [(tx, rx)], params)
+    gains = assemble_gains(uav, geometry, 0, unit_fading(1, 1), params, np.random.default_rng(0))
     assert gains.h_v_k[0] == pytest.approx(0.01, rel=1e-9)
 
 
@@ -246,10 +269,8 @@ def test_zero_delay_makes_aged_equal_predelay():
     uav = make_uav(altitude=120.0, x=10.0)
     vehicles = [make_vehicle(x=20.0 * i, vid=i, speed=13.0 + i) for i in range(4)]
     pairs = [(vehicles[2], vehicles[3])]
-    from skysched.channel import draw_fading
-
     fading = draw_fading(2, 1, rng)
-    gains = assemble_gains(uav, *endpoints(vehicles[:2], pairs), fading, params, rng)
+    gains = assemble_gains(uav, one_slot_geometry(vehicles[:2], pairs, params), 0, fading, params, rng)
     assert np.array_equal(gains.h_v_k, gains.h_v_k_hat)
     assert np.array_equal(gains.h_v_mk, gains.h_v_mk_hat)
 
@@ -261,26 +282,27 @@ def test_assemble_matches_hand_composition():
     uav = make_uav(altitude=90.0, x=5.0)
     v2u = [make_vehicle(x=0.0, vid=0), make_vehicle(x=40.0, vid=1)]
     pair = (make_vehicle(x=80.0, vid=2), make_vehicle(x=105.0, vid=3))
-    from skysched.channel import draw_fading
-
     fading = draw_fading(2, 1, rng)
-    gains = assemble_gains(uav, *endpoints(v2u, [pair]), fading, params, rng)
+    gains = assemble_gains(uav, one_slot_geometry(v2u, [pair], params), 0, fading, params, rng)
     for m in range(2):
-        expected = abs(fading.g_u_m[m]) ** 2 / db_to_linear(v2u_path_loss(uav, v2u[m], params))
+        expected = abs(fading.g_u[m]) ** 2 / db_to_linear(v2u_path_loss(uav, v2u[m], params))
         assert gains.h_u_m[m] == pytest.approx(expected, rel=1e-12)
-    expected_uk = abs(fading.g_u_k[0]) ** 2 / db_to_linear(v2u_path_loss(uav, pair[0], params))
+    expected_uk = abs(fading.g_u[2]) ** 2 / db_to_linear(v2u_path_loss(uav, pair[0], params))
     assert gains.h_u_k[0] == pytest.approx(expected_uk, rel=1e-12)
-    expected_vk = abs(fading.g_v_k_hat[0]) ** 2 / db_to_linear(v2v_path_loss(*pair))
+    expected_vk = abs(fading.g_v_hat[0]) ** 2 / db_to_linear(v2v_path_loss(*pair))
     assert gains.h_v_k[0] == pytest.approx(expected_vk, rel=1e-12)
     for m in range(2):
-        expected_mk = abs(fading.g_v_mk_hat[m, 0]) ** 2 / db_to_linear(v2v_path_loss(v2u[m], pair[1]))
+        expected_mk = abs(fading.g_v_hat[1 + m]) ** 2 / db_to_linear(v2v_path_loss(v2u[m], pair[1]))
         assert gains.h_v_mk[m, 0] == pytest.approx(expected_mk, rel=1e-12)
 
 
 def per_link_gains(uav, v2u, pairs, fading, params, rng):
     """Reference: every gain composed link by link from the scalar primitives,
     aging the desired links first and then the interference links row-major,
-    with one scalar normal per real and imaginary part."""
+    with one scalar normal per real and imaginary part. Path loss and rho are
+    returned as V2V blocks, desired links first."""
+    m_links, k_links = len(v2u), len(pairs)
+    g_u, g_v_hat = fading.g_u.tolist(), fading.g_v_hat.tolist()
 
     def v2u_gain(g, veh):
         return abs(g) ** 2 / db_to_linear(v2u_path_loss(uav, veh, params))
@@ -293,18 +315,20 @@ def per_link_gains(uav, v2u, pairs, fading, params, rng):
         aged = rho * g_hat + complex(rng.standard_normal() * scale, rng.standard_normal() * scale)
         return abs(aged) ** 2 / pl, abs(g_hat) ** 2 / pl, pl, rho
 
-    desired = [v2v_gains(complex(fading.g_v_k_hat[k]), tx, rx) for k, (tx, rx) in enumerate(pairs)]
+    desired = [v2v_gains(g_v_hat[k], tx, rx) for k, (tx, rx) in enumerate(pairs)]
     interference = [
-        [v2v_gains(complex(fading.g_v_mk_hat[m, k]), veh, rx) for k, (_tx, rx) in enumerate(pairs)]
+        [v2v_gains(g_v_hat[k_links + m * k_links + k], veh, rx) for k, (_tx, rx) in enumerate(pairs)]
         for m, veh in enumerate(v2u)
     ]
     ref = {
-        "h_u_m": [v2u_gain(fading.g_u_m[m], veh) for m, veh in enumerate(v2u)],
-        "h_u_k": [v2u_gain(fading.g_u_k[k], tx) for k, (tx, _rx) in enumerate(pairs)],
+        "h_u_m": [v2u_gain(g_u[m], veh) for m, veh in enumerate(v2u)],
+        "h_u_k": [v2u_gain(g_u[m_links + k], tx) for k, (tx, _rx) in enumerate(pairs)],
     }
-    for i, name in enumerate(("h_v{}", "h_v{}_hat", "pl_v{}_linear", "rho_v{}")):
+    for i, name in enumerate(("h_v{}", "h_v{}_hat")):
         ref[name.format("_k")] = [row[i] for row in desired]
         ref[name.format("_mk")] = [[cell[i] for cell in row] for row in interference]
+    for i, name in ((2, "pl_v_linear"), (3, "rho_v")):
+        ref[name] = [row[i] for row in desired] + [cell[i] for row in interference for cell in row]
     return {name: np.array(value) for name, value in ref.items()}
 
 
@@ -312,6 +336,8 @@ def per_link_gains(uav, v2u, pairs, fading, params, rng):
 def test_assemble_and_reprice_match_per_link_composition(links):
     params = ChannelParams()
     trace = generate_platoon(3 * links, 13.89, 25.0, 200, seed=4)
+    columns = np.arange(3 * links)
+    geometry = link_geometry(trace, columns[:links], columns[links:].reshape(-1, 2), trace.n_slots, params)
     geo_rng = np.random.default_rng(links)
     for t in range(trace.n_slots):
         frame = [VehicleState(int(vid), x, y, speed) for vid, x, y, speed in trace.frame(t).tolist()]
@@ -320,7 +346,7 @@ def test_assemble_and_reprice_match_per_link_composition(links):
         uav = make_uav(x=frame[0].x + geo_rng.uniform(-300.0, 300.0), altitude=geo_rng.uniform(50.0, 200.0))
         fading = draw_fading(links, links, np.random.default_rng((t, 0)))
         rng, ref_rng = np.random.default_rng((t, 1)), np.random.default_rng((t, 1))
-        gains = assemble_gains(uav, *endpoints(v2u, pairs), fading, params, rng)
+        gains = assemble_gains(uav, geometry, t, fading, params, rng)
         ref = per_link_gains(uav, v2u, pairs, fading, params, ref_rng)
         for name, expected in ref.items():
             np.testing.assert_allclose(getattr(gains, name), expected, rtol=1e-12, atol=0.0, err_msg=name)
@@ -328,7 +354,7 @@ def test_assemble_and_reprice_match_per_link_composition(links):
         # The reprice: the V2U family alone at another altitude, same fading.
         moved = make_uav(x=uav.x, altitude=geo_rng.uniform(50.0, 200.0))
         ref = per_link_gains(moved, v2u, pairs, fading, params, np.random.default_rng(0))
-        h_u_m, h_u_k = v2u_family_gains(moved, *endpoints(v2u, pairs), fading, params)
+        h_u_m, h_u_k = v2u_family_gains(moved, geometry, t, fading, params)
         np.testing.assert_allclose(h_u_m, ref["h_u_m"], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(h_u_k, ref["h_u_k"], rtol=1e-12, atol=0.0)
 
@@ -349,12 +375,9 @@ def make_gains(h_u_m, h_u_k, h_v_k, h_v_mk) -> LinkGains:
         h_v_mk=h_v_mk,
         h_v_k_hat=h_v_k.copy(),
         h_v_mk_hat=h_v_mk.copy(),
-        pl_v_k_linear=np.ones(k),
-        pl_v_mk_linear=np.ones((m, k)),
-        rho_v_k=np.ones(k),
-        rho_v_mk=np.ones((m, k)),
-        g_v_k_hat=np.ones(k, dtype=complex),
-        g_v_mk_hat=np.ones((m, k), dtype=complex),
+        pl_v_linear=np.ones(k + m * k),
+        rho_v=np.ones(k + m * k),
+        g_v_hat=np.ones(k + m * k, dtype=complex),
     )
 
 

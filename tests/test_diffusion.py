@@ -284,3 +284,41 @@ def test_single_state_sampler_matches_row_of_one():
     batch_of_one = sample_action(net, state[None, :], sched, np.random.default_rng(23))
     assert single.shape == (5,) and batch_of_one.shape == (1, 5)
     assert np.allclose(single, batch_of_one[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [None, 32])
+def test_tape_free_training_sample_equals_the_taped_chain(batch):
+    """From equal generator states the tape-free chain (one reused denoiser
+    input) and the taped chain give the same action bit for bit and leave the
+    generators in the same state."""
+    sched = build_schedule(4, 0.1, 10.0)
+    net = make_denoiser(6, 4, 9, seed=12)
+    state = np.random.default_rng(13).standard_normal(9 if batch is None else (batch, 9))
+    rng, taped_rng = np.random.default_rng(14), np.random.default_rng(14)
+    action = sample_action(net, state, sched, rng)
+    taped, chain = sample_action_with_tape(net, state, sched, taped_rng)
+    assert action.shape == state.shape[:-1] + (6,)
+    assert np.array_equal(action, taped)
+    assert rng.bit_generator.state == taped_rng.bit_generator.state
+    assert len(chain.tapes) == 4
+
+
+def test_evaluation_actions_are_pinned():
+    """Evaluation actions of a fixed net and seed, single and batched, as the
+    chain gave them before its constants were tabled and its input reused."""
+    sched = build_schedule(4, 0.1, 2.0)
+    net = init_dense((5 + 4 + 7, 16, 16, 5), np.random.default_rng(4), final_scale=0.01)
+    states = np.random.default_rng(5).standard_normal((3, 7))
+    pinned = [
+        ["0x1.e3e5dc2a94a24p-1", "0x1.fd7dd1d1c3917p-1", "-0x1.ffd0d7f5b9ec3p-1", "-0x1.c4ed5ac3b6f8bp-3",
+         "0x1.dfe5a8aaa9428p-1"],
+        ["0x1.f59436c5ea6c0p-1", "0x1.9a91c2026c2b7p-1", "0x1.f98e430443281p-1", "0x1.d438a0da5ec1bp-2",
+         "0x1.77f4b72a92d28p-1"],
+        ["0x1.2c8cd5f6b136dp-2", "-0x1.e56398858d10fp-1", "-0x1.c86fbc75fc8bap-1", "0x1.21cd045aef221p-1",
+         "-0x1.81881b79ebb5cp-1"],
+    ]
+    expected = np.array([[float.fromhex(v) for v in row] for row in pinned])
+    batch = sample_action(net, states, sched, np.random.default_rng(6), evaluation=True)
+    single = sample_action(net, states[0], sched, np.random.default_rng(6), evaluation=True)
+    assert np.array_equal(batch, expected)
+    assert np.array_equal(single, expected[0])

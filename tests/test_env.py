@@ -5,9 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from skysched.channel import ChannelParams, assemble_gains, draw_fading
+from skysched.channel import (
+    ChannelParams,
+    aging_correlation,
+    assemble_gains,
+    db_to_linear,
+    draw_fading,
+    link_geometry,
+    v2v_path_loss,
+)
 from skysched.energy import PowerModelParams
-from skysched.errors import EpisodeExhaustedError, NonFiniteActionError
+from skysched.errors import EpisodeExhaustedError, InvalidGeometryError, NonFiniteActionError
 from skysched.env import (
     FeasibleAction,
     NetworkScenario,
@@ -19,7 +27,7 @@ from skysched.env import (
     estimate_outage,
 )
 from skysched.lyapunov import LyapunovConfig, VirtualQueue
-from skysched.mobility import MobilityTrace, UavState, generate_platoon
+from skysched.mobility import MobilityTrace, UavState, VehicleState, generate_platoon
 
 
 def toy_scenario(m=4, k=4, n_slots=20, **kw):
@@ -237,14 +245,16 @@ def per_link_outage(gains, action, params, gamma_threshold, n_samples, rng):
         im = rho * g_hat.imag + scale * rng.standard_normal(n_samples)
         return tx_power * (re * re + im * im) / pl_linear
 
+    def link(i):  # position i of the V2V block
+        return gains.rho_v[i], complex(gains.g_v_hat[i]), gains.pl_v_linear[i]
+
     probs = []
-    for k in range(action.x.shape[0]):
-        desired = power_samples(gains.rho_v_k[k], complex(gains.g_v_k_hat[k]), gains.pl_v_k_linear[k], action.p_k[k])
+    k_links = action.x.shape[0]
+    for k in range(k_links):
+        desired = power_samples(*link(k), action.p_k[k])
         interference = np.zeros(n_samples)
         for m in np.flatnonzero(action.x[k]):
-            interference += power_samples(
-                gains.rho_v_mk[m, k], complex(gains.g_v_mk_hat[m, k]), gains.pl_v_mk_linear[m, k], action.p_m[m]
-            )
+            interference += power_samples(*link(k_links + m * k_links + k), action.p_m[m])
         probs.append(np.mean(desired / (interference + params.noise_power) < gamma_threshold))
     return np.array(probs)
 
@@ -439,13 +449,47 @@ def test_pairing_resolves_ids_to_trace_columns():
     column = {vid: i for i, vid in enumerate(ids)}
     v2u = [column[vid] for vid in v2u_tx]
     assert info["uav"].x == np.mean(trace.x[0, v2u])
-    frame = trace.frame(0)
     rng = np.random.default_rng((4, 0, 0, 0))
-    pairs = frame[[[column[tx], column[rx]] for tx, rx in v2v_pairs]]
+    pairs = np.array([[column[tx], column[rx]] for tx, rx in v2v_pairs])
+    geometry = link_geometry(trace, np.array(v2u), pairs, 1, ChannelParams())
     uav = UavState(x=info["uav"].x, y=info["uav"].y, altitude=scenario.uav_initial_altitude)
-    expected = assemble_gains(uav, frame[v2u], pairs, draw_fading(3, 3, rng), ChannelParams(), rng)
+    expected = assemble_gains(uav, geometry, 0, draw_fading(3, 3, rng), ChannelParams(), rng)
     for name in ("h_u_m", "h_u_k", "h_v_k", "h_v_mk"):
         assert np.array_equal(getattr(info["gains"], name), getattr(expected, name)), name
+
+
+@pytest.mark.parametrize("t_delay", [0.010, 0.025])
+def test_env_tables_equal_the_one_link_helpers(t_delay):
+    """At every slot of a 101-slot platoon the V2V block's path loss and rho
+    equal the one-link helpers at that slot's frame, bit for bit. The dB values
+    go through db_to_linear as an array, as in the env: numpy's array power and
+    the scalar pow of a Python float can differ in the last bit."""
+    params = ChannelParams(t_delay=t_delay)
+    sc = toy_scenario(m=3, k=3, n_slots=100)
+    trace = generate_platoon(9, 13.89, 25.0, 101, seed=11)
+    env = VehicularEnv(sc, params, PowerModelParams(), LyapunovConfig(), trace, seed=1, outage_samples=1)
+    v2u_ids, pair_ids = default_pairing(trace.vehicle_ids, 3, 3)
+    _, info = env.reset(0)
+    for t in range(trace.n_slots):
+        vehicle = {int(row[0]): VehicleState(int(row[0]), *row[1:]) for row in trace.frame(t).tolist()}
+        links = [(vehicle[tx], vehicle[rx]) for tx, rx in pair_ids]
+        links += [(vehicle[tx], vehicle[rx]) for tx in v2u_ids for _, rx in pair_ids]
+        pl = db_to_linear(np.array([v2v_path_loss(tx, rx) for tx, rx in links])).tolist()
+        rho = [aging_correlation(max(abs(tx.speed - rx.speed), params.s_rel_min), params) for tx, rx in links]
+        assert info["slot"] == t
+        assert info["gains"].pl_v_linear.tolist() == pl
+        assert info["gains"].rho_v.tolist() == rho
+        if t < env.n_slots:
+            _, _, _, info = env.step(raw_action(sc, fill=0.0))
+
+
+def test_zero_distance_pair_fails_when_the_env_is_built():
+    trace = generate_platoon(12, 13.89, 25.0, 21, seed=99)
+    x = trace.x.copy()
+    x[7, 5] = x[7, 4]  # pair (4, 5) meets at slot 7
+    met = MobilityTrace(trace.ids, x, trace.y, trace.speed)
+    with pytest.raises(InvalidGeometryError, match=r"slot 7: V2V link 4->5 has zero distance"):
+        VehicularEnv(toy_scenario(), ChannelParams(), PowerModelParams(), LyapunovConfig(), met)
 
 
 def test_scenario_validation():

@@ -250,6 +250,20 @@ def test_interrupted_run_keeps_completed_seeds_and_reruns_identically(tmp_path, 
     )
 
 
+def test_failed_rerun_leaves_no_earlier_final_files(tmp_path, monkeypatch):
+    """A rerun into the directory of a finished run that fails on its 4th
+    action leaves only .partial files: none of the earlier run's final-named
+    files survive to be read as the rerun's."""
+    cfg = parse_config(base_config(tmp_path / "out"))
+    run_experiment(cfg)
+    monkeypatch.setattr(agents.RandomAgent, "act", _nan_on_call(agents.RandomAgent.act, 4))
+    with pytest.raises(NonFiniteActionError):
+        run_experiment(cfg)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        ["metrics.csv.partial", "eval.csv.partial", "timing.csv.partial"]
+    )
+
+
 def _rows_only_train(kind, env, hp, seed, episodes, *, run_id):
     """Stands in for train(): fresh rows of a 25-episode, 100-slot run, without env steps."""
 
