@@ -13,6 +13,10 @@ the transmitters the UAV hears) is tabled once per trace by link_geometry, so
 a slot's gains take the slot's table rows, its fading, and one array pass for
 the V2U family at the UAV's position. The scalar functions wrap the same
 formulas for one link.
+
+Only numpy is needed: J0 is a port of the Cephes rational approximation that
+scipy.special.j0 evaluates, and the LoS sigmoid uses libm's exp through the
+math module, so both equal scipy's values bit for bit without loading scipy.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
-from scipy.special import j0 as _scipy_j0
 
 from .errors import InvalidGeometryError
 from .mobility import MobilityTrace, UavState, VehicleState
@@ -121,9 +123,79 @@ def db_to_linear(db):
     return 10.0 ** (db / 10.0)
 
 
+# Cephes j0 coefficients (j0.c, also scipy.special's): RP/RQ with the squared
+# zeros DR1, DR2 for |x| <= 5; PP/PQ and QP/QQ of the asymptotic phase form
+# in q = 25/x^2 beyond. p1evl tables omit their leading coefficient 1.
+_J0_PP = (7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0,
+          5.44725003058768775090e0, 8.74716500199817011941e0, 5.30324038235394892183e0,
+          9.99999999999999997821e-1)
+_J0_PQ = (9.24408810558863637013e-4, 8.56288474354474431428e-2, 1.25352743901058953537e0,
+          5.47097740330417105182e0, 8.76190883237069594232e0, 5.30605288235394617618e0,
+          1.00000000000000000218e0)
+_J0_QP = (-1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1,
+          -9.32060152123768231369e1, -1.77681167980488050595e2, -1.47077505154951170175e2,
+          -5.14105326766599330220e1, -6.05014350600728481186e0)
+_J0_QQ = (6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
+          7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
+          2.42005740240291393179e2)
+_J0_RP = (-4.79443220978201773821e9, 1.95617491946556577543e12, -2.49248344360967716204e14,
+          9.70862251047306323952e15)
+_J0_RQ = (4.99563147152651017219e2, 1.73785401676374683123e5, 4.84409658339962045305e7,
+          1.11855537045356834862e10, 2.11277520115489217587e12, 3.10518229857422583814e14,
+          3.18121955943204943306e16, 1.71086294081043136091e18)
+_J0_DR1 = 5.78318596294678452118e0
+_J0_DR2 = 3.04712623436620863991e1
+_SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
+
+
+def _polevl(x, coef, leading_one=False):
+    """Horner sum in Cephes' order: polevl, or p1evl when leading_one."""
+    acc = x + coef[0] if leading_one else coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
 def bessel_j0(x):
-    """Zero-order Bessel function of the first kind (scipy-backed)."""
-    return float(_scipy_j0(x)) if np.isscalar(x) else _scipy_j0(x)
+    """Zero-order Bessel function of the first kind, for a float or an array.
+
+    A numpy port of Cephes' j0 (the routine scipy.special.j0 evaluates), with
+    its branches, coefficients and operation order, so its values equal
+    scipy's bit for bit where numpy's sin, cos and sqrt equal libm's.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    near = x <= 5.0
+    z = x[near] * x[near]
+    out[near] = np.where(
+        x[near] < 1e-5,
+        1.0 - z / 4.0,
+        (z - _J0_DR1) * (z - _J0_DR2) * _polevl(z, _J0_RP) / _polevl(z, _J0_RQ, leading_one=True),
+    )
+    far = x[~near]
+    q = 25.0 / (far * far)
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _polevl(q, _J0_QQ, leading_one=True)
+    xn = far - math.pi / 4.0
+    out[~near] = (p * np.cos(xn) - 5.0 / far * q * np.sin(xn)) * _SQ2OPI / np.sqrt(far)
+    return float(out) if out.ndim == 0 else out
+
+
+def expit(x):
+    """Logistic sigmoid 1/(1 + exp(-x)) per element of a float or an array.
+
+    math.exp is libm's exp, as in scipy.special.expit, so the values equal
+    scipy's bit for bit; numpy's SIMD exp differs from libm's in the last bit
+    on some inputs. Where exp(-x) overflows the sigmoid is 0.0.
+    """
+    x = np.asarray(x, dtype=float)
+    out = []
+    for v in x.ravel().tolist():
+        try:
+            out.append(1.0 / (1.0 + math.exp(-v)))
+        except OverflowError:
+            out.append(0.0)
+    return np.array(out).reshape(x.shape)
 
 
 def _horizontal(uav: UavState, x, y):
@@ -134,7 +206,12 @@ def _horizontal(uav: UavState, x, y):
 def _los_probability(uav: UavState, horiz, params: ChannelParams):
     """Elevation-angle sigmoid Pr_LoS = 1/(1 + a*exp(-b*(theta_deg - a))) at
     horizontal distances horiz, as expit(b*(theta_deg - a) - ln a) so a steep
-    sigmoid saturates at 0 or 1 instead of overflowing."""
+    sigmoid saturates at 0 or 1 instead of overflowing.
+
+    expit goes through math.exp, not numpy's exp: numpy's SIMD exp differs
+    from libm's in the last bit on some inputs, and one such bit would change
+    every gain, rate and reward after it.
+    """
     theta_deg = np.degrees(np.arctan2(uav.altitude, horiz))  # horiz = 0 -> 90 deg
     return expit(params.env_b * (theta_deg - params.env_a) - math.log(params.env_a))
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import skysched
 from skysched.agents import (
@@ -440,3 +441,40 @@ print("scipy.optimize" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_runs_without_an_h_ddqn_agent_load_no_scipy(tmp_path):
+    """A D3PG, DDPG and random sweep, `validate` and four figure emitters load
+    no scipy module at all; building an H-DDQN agent then loads scipy.optimize."""
+    config = {
+        "output_dir": str(tmp_path / "out"),
+        "seeds": [0],
+        "scenario": {"m_links": 3, "k_links": 3, "n_slots": 6},
+        "agents": {
+            "kinds": ["d3pg", "ddpg", "random"],
+            "episodes": 1,
+            "hyperparams": {"preset": "desk", "hidden_width": 16, "batch_size": 4, "warmup_steps": 4},
+        },
+        "mobility": {"platoon": {"n_vehicles": 9, "mean_speed": 13.89, "spacing": 25.0, "seed": 5}},
+        "sweep": {"t_delay": [0.005, 0.01]},
+    }
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(skysched.__file__).resolve().parent.parent)!r})
+import skysched.cli
+from skysched.experiment import emit_figure_data, parse_config, run_experiment
+result = run_experiment(parse_config({config!r}))
+assert skysched.cli.main(["validate", {str(tmp_path / "config.yaml")!r}]) == 0
+for kind in ("reward_curve", "rate_vs_delay", "energy_vs_slot", "runtime_table"):
+    emit_figure_data(result.output_dir, kind)
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+from skysched.agents import desk_scale_hyperparams, make_agent
+from skysched.channel import ChannelParams
+from skysched.env import NetworkScenario
+make_agent("h_ddqn", NetworkScenario(m_links=3, k_links=3), ChannelParams(), desk_scale_hyperparams(), 0)
+print("scipy.optimize" in sys.modules)
+"""
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "True"]

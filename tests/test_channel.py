@@ -1,18 +1,24 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special  # oracle only: the package computes J0 and expit without scipy
+import yaml
 
+from skysched import channel
 from skysched.channel import (
     ChannelParams,
     FadingState,
     LinkGains,
+    _los_probability,
     age_fading,
     aging_correlation,
     assemble_gains,
     bessel_j0,
     db_to_linear,
     draw_fading,
+    expit,
     link_geometry,
     los_probability,
     v2u_family_gains,
@@ -22,8 +28,9 @@ from skysched.channel import (
     v2v_path_loss,
     v2v_sinr,
 )
-from skysched.env import FeasibleAction
+from skysched.env import FeasibleAction, VehicularEnv
 from skysched.errors import InvalidGeometryError
+from skysched.experiment import _build_trace, parse_config
 from skysched.mobility import MobilityTrace, UavState, VehicleState, generate_platoon
 
 
@@ -58,6 +65,60 @@ def test_j0_matches_series_over_range():
     xs = np.linspace(-12.0, 12.0, 2401)
     worst = max(abs(bessel_j0(float(x)) - j0_series(float(x))) for x in xs)
     assert worst <= 1e-10
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_j0_equals_scipy_bit_for_bit_over_range():
+    xs = np.random.default_rng(2024).uniform(0.0, 200.0, 1_000_000)
+    assert same_bits(bessel_j0(xs), scipy.special.j0(xs))
+
+
+J0_EDGES = [
+    0.0,
+    *(np.nextafter(1e-5, d) for d in (0.0, 1.0)),
+    1e-5,
+    *(np.nextafter(5.0, d) for d in (0.0, 10.0)),
+    5.0,
+    *scipy.special.jn_zeros(0, 3),
+    1e-300,
+    7.25,
+    199.99,
+]
+
+
+@pytest.mark.parametrize("x", [*J0_EDGES, *(-x for x in J0_EDGES)])
+def test_j0_equals_scipy_at_edges_and_negative_arguments(x):
+    got = bessel_j0(float(x))
+    assert isinstance(got, float)
+    assert same_bits(got, scipy.special.j0(x))
+    assert same_bits(bessel_j0(np.array([x, -x])), scipy.special.j0(np.array([x, -x])))
+
+
+WORKLOADS = sorted((Path(__file__).resolve().parent.parent / "skybench" / "workloads").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda p: p.stem)
+def test_workload_rho_table_equals_scipy_j0_table(workload, monkeypatch, tmp_path):
+    """For each benchmark workload the env's rho table equals, byte for byte,
+    the table built with scipy.special.j0 in place of bessel_j0."""
+    data = yaml.safe_load(workload.read_text(encoding="utf-8"))
+    cfg = parse_config({**data, "output_dir": str(tmp_path), "seeds": [0]})  # as skybench/run.py completes it
+    trace = _build_trace(cfg)
+
+    def tables():
+        env = VehicularEnv(cfg.scenario, cfg.channel, cfg.energy, cfg.lyapunov, trace, seed=0, outage_samples=1)
+        return env._geometry
+
+    ours = tables()
+    monkeypatch.setattr(channel, "bessel_j0", scipy.special.j0)
+    reference = tables()
+    assert ours.rho_v.shape == (cfg.scenario.n_slots + 1, cfg.scenario.k_links * (cfg.scenario.m_links + 1))
+    assert ours.rho_v.tobytes() == reference.rho_v.tobytes()
+    assert ours.s_rel_v.tobytes() == reference.s_rel_v.tobytes()
 
 
 # -- LoS probability ----------------------------------------------------------
@@ -108,6 +169,26 @@ def test_los_probability_steep_sigmoid_far_vehicle_is_zero():
     params = ChannelParams(env_b=100.0)
     pr = los_probability(make_uav(altitude=50.0), make_vehicle(x=1000.0), params)
     assert 0.0 <= pr <= 1e-12
+
+
+def test_expit_equals_scipy_bit_for_bit():
+    v = np.random.default_rng(7).uniform(-40.0, 40.0, 200_000)
+    assert same_bits(expit(v), scipy.special.expit(v))
+    band = np.linspace(-745.0, -709.0, 20_001)  # exp(-v) near and past overflow; subnormal sigmoids
+    assert same_bits(expit(band), scipy.special.expit(band))
+    assert same_bits(expit(np.array([-1000.0, 1000.0])), [0.0, 1.0])
+    assert expit(np.array(-3.5)).shape == ()
+    assert same_bits(expit(np.array(-3.5)), scipy.special.expit(-3.5))
+    assert same_bits(expit(v.reshape(400, 500)), scipy.special.expit(v).reshape(400, 500))
+
+
+def test_los_probability_equals_scipy_expit_form():
+    params = ChannelParams()
+    uav = make_uav(x=3.0, y=-2.0, altitude=87.5)
+    horiz = np.random.default_rng(5).uniform(0.0, 2000.0, 5000)
+    theta_deg = np.degrees(np.arctan2(uav.altitude, horiz))
+    expected = scipy.special.expit(params.env_b * (theta_deg - params.env_a) - math.log(params.env_a))
+    assert same_bits(_los_probability(uav, horiz, params), expected)
 
 
 # -- path loss ----------------------------------------------------------------
