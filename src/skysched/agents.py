@@ -13,7 +13,11 @@ acting is single-sample.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 from time import perf_counter
 from typing import NamedTuple
 
@@ -138,16 +142,36 @@ class ReplayBuffer:
         return [self._items[i] for i in idx]
 
 
+@functools.cache
+def _lsap_solver():
+    """scipy's compiled linear_sum_assignment, loaded once per process.
+
+    scipy.optimize takes it from its extension module optimize/_lsap; loading
+    that file alone skips the package init, which imports hundreds of scipy
+    modules (sparse, linalg, special, ...). A later `import scipy.optimize`
+    reuses the initialised extension, so both names are the same function.
+    """
+    import scipy
+
+    directory = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    paths = [os.path.join(directory, "_lsap" + suffix) for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled _lsap extension; tried {paths}")
+    loader = ExtensionFileLoader("scipy.optimize._lsap", path)
+    module = module_from_spec(spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
 def hungarian_assign(cost: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-total-cost injective assignment of rows to columns.
 
     Returns (assignment, total) where assignment[k] is the column given to
-    row k. Requires K <= M and finite costs. scipy.optimize is imported here,
-    not at module level, so processes that never assign channels do not load
-    it; after the first call the import is a sys.modules lookup.
+    row k. Requires K <= M and finite costs. The solve is scipy's compiled
+    linear_sum_assignment, loaded on first use by _lsap_solver() without the
+    scipy.optimize package.
     """
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
@@ -155,7 +179,7 @@ def hungarian_assign(cost: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError(f"need rows <= cols, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _lsap_solver()(cost)
     assignment = np.empty(cost.shape[0], dtype=np.int64)
     assignment[rows] = cols
     return assignment, float(cost[rows, cols].sum())
@@ -188,7 +212,7 @@ def critic_td_update(
     y = r * hp.reward_scale + hp.discount * q2
     q, tape = forward(critic, np.concatenate([s, a], axis=1))
     err = q[:, 0] - y
-    grads, _ = backward(critic, tape, (2.0 * err / n)[:, None])
+    grads, _ = backward(critic, tape, (2.0 * err / n)[:, None], input_grad=False)
     adam_step(critic, grads, critic_adam)
     return float(err @ err) / n
 
@@ -232,7 +256,7 @@ def ddqn_update(
     err = np.take_along_axis(q, sel, axis=1) - y
     dy = np.zeros_like(q)
     np.put_along_axis(dy, sel, 2.0 * err / (n * n_heads), axis=1)
-    grads, _ = backward(qnet, tape, dy)
+    grads, _ = backward(qnet, tape, dy, input_grad=False)
     adam_step(qnet, grads, qnet_adam)
     return float(np.sum(err * err)) / (n * n_heads)
 
@@ -308,7 +332,7 @@ class MlpPolicy:
 
     def sample_for_training(self, states: np.ndarray):
         action, tape = forward(self.net, states)
-        return action, lambda d_action: backward(self.net, tape, d_action)[0]
+        return action, lambda d_action: backward(self.net, tape, d_action, input_grad=False)[0]
 
 
 class ActorCriticAgent:
@@ -428,9 +452,9 @@ class HDDQNAgent:
         self.train_steps = 0
         self._last_idxs: np.ndarray | None = None
         self._altitude_raws = np.linspace(-1.0, 1.0, hp.altitude_levels)
-        # Load hungarian_assign's solver now, so its one-off import cost lands
-        # in set-up rather than inside the first timed act().
-        import scipy.optimize  # noqa: F401
+        # Load hungarian_assign's compiled solver now, so its one-off load cost
+        # lands in set-up rather than inside the first timed act().
+        _lsap_solver()
 
     def _epsilon(self) -> float:
         progress = min(1.0, self.train_steps / max(1, self.hp.epsilon_decay_steps))

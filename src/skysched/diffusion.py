@@ -192,7 +192,8 @@ def chain_backward(
         i = schedule.steps - idx
         sqrt_phi = schedule.sqrt_phi[i - 1]
         d_eps = -(schedule.eps_coeff[i - 1] / sqrt_phi) * d_pi
-        step_grads, d_input = backward(denoiser, chain.tapes[idx], d_eps)
+        step_grads, d_input = backward(denoiser, chain.tapes[idx], d_eps, input_grad=idx > 0)
         grads += step_grads
-        d_pi = d_pi / sqrt_phi + d_input[..., :dim]
+        if idx > 0:
+            d_pi = d_pi / sqrt_phi + d_input[..., :dim]
     return grads

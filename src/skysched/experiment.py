@@ -16,9 +16,10 @@ import csv
 import itertools
 import json
 import math
+import operator
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import yaml
@@ -276,9 +277,16 @@ def _write_csv(path: Path, header, rows) -> None:
         _write_rows(fh, [header, *rows])
 
 
+def _sum(values):
+    """Left-to-right sum from 0, as the builtin sum() adds before CPython 3.12;
+    from 3.12 its float sum is compensated, so outputs would depend on the
+    interpreter."""
+    return reduce(operator.add, values, 0)
+
+
 def _mean(values) -> float:
     values = list(values)
-    return sum(values) / len(values)
+    return _sum(values) / len(values)
 
 
 def _stderr(values) -> float:
@@ -286,7 +294,7 @@ def _stderr(values) -> float:
     if len(values) < 2:
         return 0.0
     mu = _mean(values)
-    var = sum((v - mu) ** 2 for v in values) / (len(values) - 1)
+    var = _sum((v - mu) ** 2 for v in values) / (len(values) - 1)
     return math.sqrt(var / len(values))
 
 
@@ -403,8 +411,8 @@ def _seed_summary(result, scenario: NetworkScenario) -> dict:
 
 def _column_sums(path: Path, key_names, value_names, key=tuple) -> dict:
     """Stream a CSV into {key(key columns as strings): [sum of each value column, row count]}.
-    Sums run from 0.0 in row order, the order of the builtin sum() before
-    CPython 3.12, so there sum / count equals _mean of the same values."""
+    Sums run from 0.0 in row order, as _sum adds, so sum / count equals _mean
+    of the same values."""
     acc: dict = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

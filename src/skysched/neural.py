@@ -162,13 +162,15 @@ def forward_only(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    net: DenseNet, tape: Tape, output_gradient: np.ndarray, *, param_grads: bool = True
-) -> tuple[np.ndarray | None, np.ndarray]:
+    net: DenseNet, tape: Tape, output_gradient: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Exact reverse-mode gradients of forward(); returns (parameter gradient
     vector summed over the batch, d_input shaped like the tape's input).
 
     With param_grads=False the weight and bias products are skipped and the
-    first element is None: for callers that need only d_input."""
+    first element is None: for callers that need only d_input. With
+    input_grad=False layer 0's product with its weights is skipped and the
+    second element is None: for callers that need only the parameters."""
     if tape.net_id != id(net) or tape.net_version != net.version:
         raise InvalidStateError("tape is stale: parameters changed since forward()")
     dy = np.asarray(output_gradient, dtype=np.float64)
@@ -189,6 +191,8 @@ def backward(
             a_prev = (tape.x if i == 0 else tape.post[i - 1]).reshape(n_rows, -1)
             np.matmul(dz.T, a_prev, out=d_weights[i])
             dz.sum(axis=0, out=d_biases[i])
+        if i == 0 and not input_grad:
+            return grads, None
         grad = dz @ net.weights[i]
     return grads, grad.reshape(tape.x.shape)
 

@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import skysched
+import skysched.agents
 from skysched.agents import (
     AgentHyperparams,
     ReplayBuffer,
@@ -100,10 +101,12 @@ def test_hungarian_tied_costs_give_valid_assignment():
 
 
 def test_hungarian_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need rows <= cols, got \(3, 2\)"):
         hungarian_assign(np.zeros((3, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cost matrix must be finite"):
         hungarian_assign(np.array([[np.inf, 1.0]]))
+    with pytest.raises(ValueError, match="cost matrix must be finite"):
+        hungarian_assign(np.array([[0.0, np.nan], [1.0, 2.0]]))
 
 
 def test_hungarian_matches_brute_force():
@@ -116,6 +119,44 @@ def test_hungarian_matches_brute_force():
         _, expected = brute_force_assignment(cost)
         assert sorted(set(assignment)) == sorted(assignment)  # injective
         assert total == pytest.approx(expected, rel=1e-12)
+
+
+def test_hungarian_equals_scipy_optimize_bit_for_bit():
+    """The compiled solver loaded without scipy.optimize gives scipy.optimize's
+    assignment and a bitwise-equal total: 2,500 matrices each of continuous
+    square, integer-valued with ties, rectangular K < M and 1 x M costs."""
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(15)
+    draws = (
+        lambda: rng.normal(size=(int(rng.integers(1, 13)),) * 2) * 10.0 ** rng.integers(-3, 4),
+        lambda: rng.integers(-3, 4, size=(int(rng.integers(2, 9)),) * 2).astype(np.float64),
+        lambda: rng.uniform(-5.0, 5.0, size=(int(rng.integers(1, 10)), int(rng.integers(10, 16)))),
+        lambda: rng.integers(0, 3, size=(1, int(rng.integers(1, 21)))).astype(np.float64),
+    )
+    for draw in draws:
+        for _ in range(2500):
+            cost = draw()
+            assignment, total = hungarian_assign(cost)
+            rows, cols = linear_sum_assignment(cost)
+            assert np.array_equal(rows, np.arange(len(cost)))
+            assert np.array_equal(assignment, cols)
+            assert total.hex() == float(cost[rows, cols].sum()).hex()
+    assert linear_sum_assignment is skysched.agents._lsap_solver()
+
+
+def test_missing_lsap_extension_raises_import_error(monkeypatch):
+    """No fallback: a scipy without the optimize/_lsap extension fails loudly,
+    naming the paths tried and the scipy version."""
+    import scipy
+
+    monkeypatch.setattr(skysched.agents, "EXTENSION_SUFFIXES", [".missing-suffix"])
+    skysched.agents._lsap_solver.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=rf"scipy {scipy.__version__} .*_lsap\.missing-suffix"):
+            hungarian_assign(np.zeros((2, 2)))
+    finally:
+        skysched.agents._lsap_solver.cache_clear()
 
 
 # -- update rules -------------------------------------------------------------
@@ -424,28 +465,40 @@ def test_hyperparam_validation():
         make_agent("nope", NetworkScenario(m_links=2, k_links=1), ChannelParams(), AgentHyperparams(), 0)
 
 
-def test_scipy_optimize_loads_only_with_an_h_ddqn_agent():
-    """The experiment and CLI modules leave the Hungarian solver's module
-    unloaded; building an H-DDQN agent loads it, before its first act()."""
+def test_h_ddqn_build_and_act_load_no_scipy_subpackage():
+    """The experiment and CLI modules load no scipy module. Building an H-DDQN
+    agent loads its compiled solver, before its first act(); the act runs it.
+    Neither loads scipy.optimize or the subpackages its init pulls in."""
     script = f"""
 import sys
 sys.path.insert(0, {str(Path(skysched.__file__).resolve().parent.parent)!r})
 import skysched.cli, skysched.experiment
-from skysched.agents import desk_scale_hyperparams, make_agent
+from skysched.agents import _lsap_solver, desk_scale_hyperparams, make_agent
 from skysched.channel import ChannelParams
-from skysched.env import NetworkScenario
-print("scipy.optimize" in sys.modules)
-make_agent("h_ddqn", NetworkScenario(m_links=3, k_links=3), ChannelParams(), desk_scale_hyperparams(), 0)
-print("scipy.optimize" in sys.modules)
+from skysched.energy import PowerModelParams
+from skysched.env import NetworkScenario, VehicularEnv
+from skysched.lyapunov import LyapunovConfig
+from skysched.mobility import generate_platoon
+print(any(name == "scipy" or name.startswith("scipy.") for name in sys.modules))
+scenario = NetworkScenario(m_links=3, k_links=3, n_slots=4)
+trace = generate_platoon(9, 13.89, 25.0, 5, seed=42)
+env = VehicularEnv(scenario, ChannelParams(), PowerModelParams(), LyapunovConfig(), trace, seed=0, outage_samples=50)
+agent = make_agent("h_ddqn", scenario, env.channel_params, desk_scale_hyperparams(), 0)
+print(_lsap_solver.cache_info().misses, _lsap_solver.cache_info().hits)
+state, info = env.reset(0)
+agent.act(state, info)
+print(_lsap_solver.cache_info().misses, _lsap_solver.cache_info().hits)
+print([name for name in ("scipy.optimize", "scipy.special", "scipy.sparse", "scipy.linalg") if name in sys.modules])
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.splitlines() == ["False", "1 0", "1 1", "[]"]
 
 
 def test_runs_without_an_h_ddqn_agent_load_no_scipy(tmp_path):
     """A D3PG, DDPG and random sweep, `validate` and four figure emitters load
-    no scipy module at all; building an H-DDQN agent then loads scipy.optimize."""
+    no scipy module at all; building an H-DDQN agent then loads no scipy
+    subpackage."""
     config = {
         "output_dir": str(tmp_path / "out"),
         "seeds": [0],
@@ -472,9 +525,9 @@ from skysched.agents import desk_scale_hyperparams, make_agent
 from skysched.channel import ChannelParams
 from skysched.env import NetworkScenario
 make_agent("h_ddqn", NetworkScenario(m_links=3, k_links=3), ChannelParams(), desk_scale_hyperparams(), 0)
-print("scipy.optimize" in sys.modules)
+print([name for name in ("scipy.optimize", "scipy.special", "scipy.sparse", "scipy.linalg") if name in sys.modules])
 """
     (tmp_path / "config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]

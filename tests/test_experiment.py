@@ -324,6 +324,14 @@ def test_summary_means_are_seed_averages(tmp_path):
         assert mean_value == pytest.approx(sum(per_seed) / 2.0, rel=1e-12)
 
 
+def test_mean_and_stderr_sum_left_to_right():
+    """CPython 3.12's compensated sum() gives 1/3 here; the outputs sum in
+    order on every interpreter, so summary.json does not depend on it."""
+    assert experiment._mean([1e16, 1.0, -1e16]) == 0.0
+    assert experiment._mean([0.1] * 10) == 0.09999999999999999
+    assert experiment._mean([1, 2, 4]) == 7 / 3
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg_a = parse_config(base_config(tmp_path / "a"))
     cfg_b = parse_config(base_config(tmp_path / "b"))

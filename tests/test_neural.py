@@ -117,6 +117,19 @@ def test_batched_pass_equals_sum_of_single_rows(output_activation):
     assert np.allclose(grads, summed, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("sizes", [(6, 16, 16, 3), (6, 3)])
+def test_backward_without_input_gradient_keeps_parameter_gradient_bits(sizes):
+    """input_grad=False returns None for d_input and the same parameter
+    gradient bits, for a batch and a single sample, deep and one-layer nets."""
+    net = make_net(sizes, seed=9, output_activation="tanh")
+    rng = np.random.default_rng(10)
+    for xs, dys in ((rng.standard_normal((5, 6)), rng.standard_normal((5, 3))), (rng.standard_normal(6), rng.standard_normal(3))):
+        _, tape = forward(net, xs)
+        grads, _ = backward(net, tape, dys)
+        param_only, no_dx = backward(net, tape, dys, input_grad=False)
+        assert no_dx is None and param_only.tobytes() == grads.tobytes()
+
+
 def test_backward_rejects_gradient_of_other_batch_size():
     net = make_net((4, 8, 2), seed=3)
     _, tape = forward(net, np.zeros((5, 4)))
