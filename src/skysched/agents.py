@@ -32,7 +32,7 @@ from .diffusion import (
     sample_action_with_tape,
 )
 from .env import NetworkScenario, VehicularEnv
-from .errors import NonFiniteActionError, NonFiniteLossError, NonFiniteRewardError
+from .errors import NonFiniteActionError, NonFiniteLossError, NonFiniteRewardError, require_finite
 from .neural import (
     AdamState,
     DenseNet,
@@ -42,8 +42,6 @@ from .neural import (
     forward,
     forward_only,
     init_dense,
-    load_checkpoint,
-    save_checkpoint,
     soft_update,
 )
 
@@ -78,6 +76,7 @@ class AgentHyperparams:
     reward_scale: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
         if not 0.0 < self.tau <= 1.0:
@@ -283,7 +282,6 @@ class DiffusionPolicy:
     function of (parameters, state).
     """
 
-    checkpoint_part = "denoiser"
     gaussian_exploration = False
 
     def __init__(
@@ -317,7 +315,6 @@ class DiffusionPolicy:
 class MlpPolicy:
     """Plain tanh-output actor; the agent adds Gaussian exploration noise."""
 
-    checkpoint_part = "actor"
     gaussian_exploration = True
 
     def __init__(self, net: DenseNet, adam: AdamState):
@@ -401,20 +398,6 @@ class ActorCriticAgent:
         _check_finite("mean Q", mean_q, self.critic_adam.step)
         soft_update(self.target_actor, self.policy.net, self.hp.tau)
         soft_update(self.target_critic, self.critic, self.hp.tau)
-
-    def save_checkpoint(self, directory, name: str | None = None) -> None:
-        name = name or self.kind
-        save_checkpoint(self.policy.net, f"{directory}/{name}_{self.policy.checkpoint_part}.npz")
-        save_checkpoint(self.critic, f"{directory}/{name}_critic.npz")
-
-    def load_checkpoint(self, directory, name: str | None = None) -> None:
-        name = name or self.kind
-        self.policy.net = load_checkpoint(f"{directory}/{name}_{self.policy.checkpoint_part}.npz")
-        self.critic = load_checkpoint(f"{directory}/{name}_critic.npz")
-        self.target_actor = clone(self.policy.net)
-        self.target_critic = clone(self.critic)
-        self.policy.adam = AdamState.for_net(self.policy.net, self.hp.lr_actor)
-        self.critic_adam = AdamState.for_net(self.critic, self.hp.lr_critic)
 
 
 class HDDQNAgent:
@@ -501,14 +484,6 @@ class HDDQNAgent:
         loss = ddqn_update(self.qnet, self.qnet_adam, self.target_qnet, batch, self.hp, self.heads)
         _check_finite("double-Q loss", loss, self.qnet_adam.step)
         soft_update(self.target_qnet, self.qnet, self.hp.tau)
-
-    def save_checkpoint(self, directory, name: str = "h_ddqn") -> None:
-        save_checkpoint(self.qnet, f"{directory}/{name}_qnet.npz")
-
-    def load_checkpoint(self, directory, name: str = "h_ddqn") -> None:
-        self.qnet = load_checkpoint(f"{directory}/{name}_qnet.npz")
-        self.target_qnet = clone(self.qnet)
-        self.qnet_adam = AdamState.for_net(self.qnet, self.hp.lr_critic)
 
 
 class RandomAgent:

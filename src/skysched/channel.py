@@ -22,11 +22,11 @@ math module, so both equal scipy's values bit for bit without loading scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGeometryError
+from .errors import InvalidGeometryError, require_finite
 from .mobility import MobilityTrace, UavState, VehicleState
 
 
@@ -46,9 +46,7 @@ class ChannelParams:
     s_rel_min: float = 1.5  # floor on per-link relative speed, m/s
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        require_finite(self)
         for name in ("carrier_frequency", "bandwidth_per_channel", "noise_psd", "env_a", "env_b", "light_speed"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -249,11 +247,6 @@ def _age(g_hat: np.ndarray, s_rel: np.ndarray, rho: np.ndarray, params: ChannelP
     return g
 
 
-def los_probability(uav: UavState, vehicle: VehicleState, params: ChannelParams) -> float:
-    """Elevation-angle LoS probability of one V2U link."""
-    return float(_los_probability(uav, _horizontal(uav, vehicle.x, vehicle.y), params))
-
-
 def v2u_path_loss(uav: UavState, vehicle: VehicleState, params: ChannelParams, *, pr_los=None) -> float:
     """Air-ground path loss in dB of one V2U link.
 
@@ -373,13 +366,6 @@ def v2u_sinr(gains: LinkGains, action, params: ChannelParams) -> np.ndarray:
     hears every V2V link k with x[k, m] = 1."""
     interference = (action.p_k * gains.h_u_k) @ action.x
     return action.p_m * gains.h_u_m / (interference + params.noise_power)
-
-
-def v2v_sinr(gains: LinkGains, action, params: ChannelParams) -> np.ndarray:
-    """(K,) SINR of every V2V link under the action (aged gains): link k hears
-    the V2U transmitter of every channel m with x[k, m] = 1."""
-    interference = (action.x.T * (action.p_m[:, None] * gains.h_v_mk)).sum(axis=0)
-    return action.p_k * gains.h_v_k / (interference + params.noise_power)
 
 
 def v2u_rate(gamma, params: ChannelParams):

@@ -5,14 +5,13 @@ from isotropic Gaussian noise, a denoiser net predicts the noise to subtract
 at each step given (current vector, one-hot step index, state); the final
 vector is squashed once by tanh into [-1, 1]. Step indices are 1-based
 (arrays store index i at position i-1). The samplers take one state (n,) or
-a batch (B, n) and run the same code for both. The forward-process helpers
-exist for testing the algebra; training differentiates through the reverse
-chain, and chain_backward returns one gradient vector in the params layout.
+a batch (B, n) and run the same code for both. Training differentiates
+through the reverse chain, and chain_backward returns one gradient vector in
+the params layout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,25 +66,6 @@ def build_schedule(steps: int, beta_min: float = 0.1, beta_max: float = 10.0) ->
         eps_coeff=(1.0 - phi) / np.sqrt(1.0 - phi_bar),
         noise_scale=np.sqrt(beta_bar),
     )
-
-
-def forward_marginal(pi_0: np.ndarray, i: int, schedule: DiffusionSchedule, noise: np.ndarray) -> np.ndarray:
-    """Closed-form noising to step i: sqrt(phi_bar_i)*pi_0 + sqrt(1-phi_bar_i)*noise."""
-    pi_0 = np.asarray(pi_0, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != pi_0.shape:
-        raise ValueError("noise shape must match pi_0")
-    pb = schedule.phi_bar[i - 1]
-    return math.sqrt(pb) * pi_0 + math.sqrt(1.0 - pb) * noise
-
-
-def posterior_mean(pi_i: np.ndarray, eps_hat: np.ndarray, i: int, schedule: DiffusionSchedule) -> np.ndarray:
-    """Reverse-step mean (pi_i - (1-phi_i)/sqrt(1-phi_bar_i)*eps_hat)/sqrt(phi_i)."""
-    pi_i = np.asarray(pi_i, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if eps_hat.shape != pi_i.shape:
-        raise ValueError("eps_hat shape must match pi_i")
-    return (pi_i - schedule.eps_coeff[i - 1] * eps_hat) / schedule.sqrt_phi[i - 1]
 
 
 def _reverse_chain(

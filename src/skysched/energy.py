@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import require_finite
+
 
 @dataclass(frozen=True)
 class PowerModelParams:
@@ -29,6 +31,7 @@ class PowerModelParams:
     clamp_descent: bool = False  # floor the vertical term at zero
 
     def __post_init__(self):
+        require_finite(self)
         for name in (
             "p0_hover_blade", "p1_hover_induced", "omega", "rotor_radius",
             "v0_induced", "d0_drag_ratio", "air_density", "rotor_solidity",

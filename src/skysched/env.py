@@ -37,7 +37,7 @@ from .channel import (
     v2u_sinr,
 )
 from .energy import PowerModelParams, propulsion_power
-from .errors import EpisodeExhaustedError, NonFiniteActionError, NonFiniteRewardError
+from .errors import EpisodeExhaustedError, NonFiniteActionError, NonFiniteRewardError, require_finite
 from .lyapunov import LyapunovConfig, VirtualQueue, drift_plus_penalty_objective, queue_update
 from .mobility import MobilityTrace, UavState, advance_uav
 
@@ -77,6 +77,7 @@ class NetworkScenario:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_finite(self)
         if self.k_links > self.m_links:
             raise ValueError(f"k_links ({self.k_links}) must be <= m_links ({self.m_links})")
         if min(self.m_links, self.k_links, self.n_slots) < 1:
@@ -120,15 +121,6 @@ class RewardBreakdown:
     outage_violations: int
     penalty_applied: float
     power: float  # W
-
-
-def split_raw_action(raw: np.ndarray, scenario: NetworkScenario):
-    """Slice a raw vector into (scores (K,M), p_k raw, p_m raw, delta_h raw)."""
-    k, m = scenario.k_links, scenario.m_links
-    scores = raw[: k * m].reshape(k, m)
-    p_k = raw[k * m : k * m + k]
-    p_m = raw[k * m + k : k * m + k + m]
-    return scores, p_k, p_m, raw[-1]
 
 
 def amend_action(raw: np.ndarray, scenario: NetworkScenario) -> FeasibleAction:

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the parameter dataclasses' finiteness check."""
+
+import math
+import numbers
+
+
+def require_finite(params) -> None:
+    """Raise ValueError naming the first field of the dataclass params that is not a finite number."""
+    for name, value in vars(params).items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class SkySchedError(Exception):

@@ -261,15 +261,9 @@ def _build_trace(cfg: ExperimentConfig) -> MobilityTrace:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr even for numpy scalars
-    return str(value)
-
-
 def _write_rows(fh, rows) -> None:
-    for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+    for row in rows:  # floats as plain-float repr, also numpy scalars
+        fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:

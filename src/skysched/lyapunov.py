@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .errors import require_finite
+
 
 @dataclass(frozen=True)
 class VirtualQueue:
@@ -41,6 +43,7 @@ class LyapunovConfig:
     rate_scale: float = 1e-6
 
     def __post_init__(self):
+        require_finite(self)
         if self.v_weight <= 0.0:
             raise ValueError("v_weight must be positive")
         if self.gamma_pen < 0.0 or self.rate_scale <= 0.0:
@@ -56,11 +59,6 @@ def queue_update(queue: VirtualQueue, power: float) -> VirtualQueue:
     """
     q_next = max(queue.q + power * queue.slot_duration - queue.e_threshold, 0.0)
     return replace(queue, q=q_next)
-
-
-def lyapunov_value(queue: VirtualQueue) -> float:
-    """Quadratic potential q^2 / 2."""
-    return 0.5 * queue.q * queue.q
 
 
 def drift_plus_penalty_objective(

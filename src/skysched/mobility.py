@@ -92,7 +92,7 @@ class MobilityTrace:
         return tuple(self.ids.tolist())
 
     def frame(self, t: int) -> np.ndarray:
-        """Slot t as (N, 4) rows of (id, x, y, speed), the form the gain assembly takes."""
+        """Slot t as (N, 4) rows of (id, x, y, speed)."""
         return np.array([self.ids, self.x[t], self.y[t], self.speed[t]]).T
 
 

@@ -15,7 +15,6 @@ whole-vector operations. adam_step() consumes its gradient.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field, replace
 
@@ -263,10 +262,8 @@ def save_checkpoint(net: DenseNet, path) -> None:
     header = json.dumps(
         {"sizes": list(net.sizes), "hidden_activation": net.hidden_activation, "output_activation": net.output_activation}
     )
-    buf = io.BytesIO()
-    np.savez(buf, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8), params=net.params)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    with open(path, "wb") as fh:  # a file object, so savez adds no .npz suffix to path
+        np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8), params=net.params)
 
 
 def load_checkpoint(path) -> DenseNet:

@@ -401,6 +401,12 @@ def test_all_agent_kinds_run_and_record():
         assert all(r.inference_ms >= 0.0 for r in result.records)
 
 
+def split_raw_action(raw, scenario):
+    """Reference slicing of a raw vector into (scores (K,M), p_k raw, p_m raw, delta_h raw)."""
+    k, m = scenario.k_links, scenario.m_links
+    return raw[: k * m].reshape(k, m), raw[k * m : k * m + k], raw[k * m + k : k * m + k + m], raw[-1]
+
+
 def test_hddqn_actions_follow_hungarian_and_grids():
     env = toy_env(seed=4, n_slots=6)
     hp = tiny_hp(epsilon_start=0.0, epsilon_end=0.0)  # pure greedy for determinism
@@ -408,7 +414,7 @@ def test_hddqn_actions_follow_hungarian_and_grids():
     state, info = env.reset(0)
     raw = agent.act(state, info)
     sc = env.scenario
-    from skysched.env import amend_action, split_raw_action
+    from skysched.env import amend_action
 
     scores, p_k_raw, p_m_raw, dh_raw = split_raw_action(raw, sc)
     # scores are +/-1 one-hot rows reproducing an injective assignment
@@ -422,28 +428,18 @@ def test_hddqn_actions_follow_hungarian_and_grids():
     levels = {-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0}
     assert all(any(abs(v - l) < 1e-12 for l in levels) for v in np.concatenate([p_k_raw, p_m_raw]))
     assert any(abs(dh_raw - g) < 1e-12 for g in np.linspace(-1, 1, hp.altitude_levels))
+    # the slices are the ones amend_action maps: powers affinely, delta_h by dh_max
+    assert np.array_equal(act.p_k, (p_k_raw + 1.0) * (sc.p_max / 2.0))
+    assert np.array_equal(act.p_m, (p_m_raw + 1.0) * (sc.p_max / 2.0))
+    assert act.delta_h == dh_raw * sc.dh_max
+    assert np.array_equal(cols, scores.argmax(axis=1))
 
 
-def test_checkpoint_round_trip_for_agents(tmp_path):
-    env = toy_env(seed=5, n_slots=6)
-    result = train("d3pg", env, tiny_hp(), seed=5, episodes=1)
-    agent = result.agent
-    agent.save_checkpoint(tmp_path)
-    state, info = env.reset(99)
-    before = agent.act(state, info, evaluation=True)
-    agent.load_checkpoint(tmp_path)
-    after = agent.act(state, info, evaluation=True)
-    assert np.array_equal(before, after)
-
-
-def test_actor_critic_kinds_and_checkpoint_names(tmp_path):
+def test_make_agent_maps_actor_critic_kinds():
     env = toy_env(seed=7, n_slots=4)
-    for kind, agent_kind, actor_file in (("d3pg", "d3pg", "d3pg_denoiser.npz"), ("d3pg_wcsi", "d3pg", "d3pg_denoiser.npz"), ("ddpg", "ddpg", "ddpg_actor.npz")):
+    for kind, agent_kind in (("d3pg", "d3pg"), ("d3pg_wcsi", "d3pg"), ("ddpg", "ddpg")):
         agent = make_agent(kind, env.scenario, env.channel_params, tiny_hp(), seed=7)
         assert agent.kind == agent_kind
-        agent.save_checkpoint(tmp_path)
-        assert (tmp_path / actor_file).is_file()
-        assert (tmp_path / f"{agent_kind}_critic.npz").is_file()
 
 
 def test_evaluation_policy_is_pure_function_of_state():

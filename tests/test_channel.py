@@ -20,13 +20,11 @@ from skysched.channel import (
     draw_fading,
     expit,
     link_geometry,
-    los_probability,
     v2u_family_gains,
     v2u_path_loss,
     v2u_rate,
     v2u_sinr,
     v2v_path_loss,
-    v2v_sinr,
 )
 from skysched.env import FeasibleAction, VehicularEnv
 from skysched.errors import InvalidGeometryError
@@ -148,26 +146,26 @@ def test_los_probability_at_angle_equal_to_a():
     params = ChannelParams()
     horiz = 100.0
     alt = horiz * math.tan(math.radians(params.env_a))
-    pr = los_probability(make_uav(altitude=alt), make_vehicle(x=horiz), params)
+    pr = float(_los_probability(make_uav(altitude=alt), horiz, params))
     assert pr == pytest.approx(1.0 / (1.0 + params.env_a), rel=1e-9)
     assert pr == pytest.approx(0.07645, abs=5e-6)
 
 
 def test_los_probability_overhead():
-    pr = los_probability(make_uav(altitude=100.0), make_vehicle(x=0.0), ChannelParams())
+    pr = float(_los_probability(make_uav(altitude=100.0), 0.0, ChannelParams()))
     assert pr == pytest.approx(0.997716247081094, rel=1e-9)
 
 
 def test_los_probability_saturates_with_large_b():
     params = ChannelParams(env_b=100.0)
-    pr = los_probability(make_uav(altitude=100.0), make_vehicle(x=100.0), params)  # 45 deg > a
+    pr = float(_los_probability(make_uav(altitude=100.0), 100.0, params))  # 45 deg > a
     assert pr == pytest.approx(1.0, abs=1e-10)
 
 
 def test_los_probability_steep_sigmoid_far_vehicle_is_zero():
     # b*(theta - a) is about -922 here; the sigmoid must saturate, not overflow.
     params = ChannelParams(env_b=100.0)
-    pr = los_probability(make_uav(altitude=50.0), make_vehicle(x=1000.0), params)
+    pr = float(_los_probability(make_uav(altitude=50.0), 1000.0, params))
     assert 0.0 <= pr <= 1e-12
 
 
@@ -460,6 +458,14 @@ def make_gains(h_u_m, h_u_k, h_v_k, h_v_mk) -> LinkGains:
         rho_v=np.ones(k + m * k),
         g_v_hat=np.ones(k + m * k, dtype=complex),
     )
+
+
+def v2v_sinr(gains: LinkGains, action, params: ChannelParams) -> np.ndarray:
+    """Reference (K,) V2V SINR under the action (aged gains): link k hears the
+    V2U transmitter of every channel m with x[k, m] = 1. test_env checks the
+    same reference against estimate_outage at zero delay."""
+    interference = (action.x.T * (action.p_m[:, None] * gains.h_v_mk)).sum(axis=0)
+    return action.p_k * gains.h_v_k / (interference + params.noise_power)
 
 
 def action_for(x, p_m, p_k) -> FeasibleAction:

@@ -6,12 +6,24 @@ import pytest
 from skysched.diffusion import (
     build_schedule,
     chain_backward,
-    forward_marginal,
-    posterior_mean,
     sample_action,
     sample_action_with_tape,
 )
-from skysched.neural import init_dense
+from skysched.neural import forward_only, init_dense
+
+
+def forward_marginal(pi_0, i, schedule, noise):
+    """Reference closed-form noising to step i: sqrt(phi_bar_i)*pi_0 + sqrt(1-phi_bar_i)*noise."""
+    pb = schedule.phi_bar[i - 1]
+    return math.sqrt(pb) * pi_0 + math.sqrt(1.0 - pb) * noise
+
+
+def posterior_mean(pi_i, eps_hat, i, schedule):
+    """Reference reverse-step mean (pi_i - (1-phi_i)/sqrt(1-phi_bar_i)*eps_hat)/sqrt(phi_i),
+    written from phi and phi_bar; test_reverse_step_reference_equals_sampler
+    checks it against the sampler bit for bit."""
+    phi_i, phi_bar_i = schedule.phi[i - 1], schedule.phi_bar[i - 1]
+    return (pi_i - (1.0 - phi_i) / math.sqrt(1.0 - phi_bar_i) * eps_hat) / math.sqrt(phi_i)
 
 
 def eq25_mean(pi_i, pi_0, i, schedule):
@@ -130,6 +142,22 @@ def test_posterior_mean_approaches_identity_for_tiny_rates():
     pi = np.array([0.3, 0.9])
     out = posterior_mean(pi, np.zeros(2), 1, sched)
     assert np.allclose(out, pi, atol=1e-6)
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+def test_reverse_step_reference_equals_sampler(steps):
+    """An evaluation-mode chain is pi_I followed by one posterior_mean step
+    per denoiser call, so iterating the reference over the sampler's own draw
+    gives its action bit for bit."""
+    sched = build_schedule(steps, 0.1, 10.0)
+    net = make_denoiser(5, steps, 7, seed=21)
+    state = np.random.default_rng(22).standard_normal(7)
+    action = sample_action(net, state, sched, np.random.default_rng(23), evaluation=True)
+    pi = np.random.default_rng(23).standard_normal(5)
+    for i in range(steps, 0, -1):
+        eps_hat = forward_only(net, np.concatenate([pi, np.eye(steps)[i - 1], state]))
+        pi = posterior_mean(pi, eps_hat, i, sched)
+    assert np.array_equal(action, np.tanh(pi))
 
 
 # -- sampler ------------------------------------------------------------------

@@ -156,6 +156,13 @@ def test_step_names_episode_and_slot_of_non_finite_action():
 # -- estimate_outage ----------------------------------------------------------
 
 
+def v2v_sinr(gains, action, params: ChannelParams) -> np.ndarray:
+    """Reference (K,) V2V SINR under the action (aged gains): link k hears the
+    V2U transmitter of every channel m with x[k, m] = 1."""
+    interference = (action.x.T * (action.p_m[:, None] * gains.h_v_mk)).sum(axis=0)
+    return action.p_k * gains.h_v_k / (interference + params.noise_power)
+
+
 def outage_fixture(t_delay):
     env = make_env(channel=ChannelParams(t_delay=t_delay), outage_samples=500)
     _, info = env.reset(0)
@@ -172,8 +179,6 @@ def test_outage_zero_delay_is_indicator():
         delta_h=0.0,
     )
     rng = np.random.default_rng(0)
-    from skysched.channel import v2v_sinr
-
     for k in range(sc.k_links):
         prob = estimate_outage(gains, strong, env.channel_params, sc.gamma_v_th, 500, rng)[k]
         gamma = v2v_sinr(gains, strong, env.channel_params)[k]
@@ -184,8 +189,6 @@ def test_outage_zero_delay_is_exactly_the_sinr_indicator():
     """At zero delay rho = J0(0) = 1, so every Monte-Carlo redraw is the
     pre-delay value: on random gains and actions the estimate is only ever 0.0
     or 1.0, and it is the indicator of the SINR against the threshold."""
-    from skysched.channel import v2v_sinr
-
     env = make_env(toy_scenario(m=6, k=6), channel=ChannelParams(t_delay=0.0))
     sc = env.scenario
     rng = np.random.default_rng(3)

@@ -53,6 +53,19 @@ def read_rows(path):
 
 # -- validation ---------------------------------------------------------------
 
+# Non-finite values each dataclass must reject by name; before these checks a
+# run failed at its first slot instead.
+NON_FINITE_CASES = [
+    (lambda c: c.update(energy={"weight": math.nan}), "energy: weight must be finite"),
+    (lambda c: c["lyapunov"].update(v_weight=math.nan), "lyapunov: v_weight must be finite"),
+    (lambda c: c["lyapunov"].update(gamma_pen=math.inf), "lyapunov: gamma_pen must be finite"),
+    (lambda c: c["scenario"].update(e_th=math.inf), "scenario: e_th must be finite"),
+    (lambda c: c["scenario"].update(p_max=math.nan), "scenario: p_max must be finite"),
+    (lambda c: c["scenario"].update(slot_duration=math.nan), "scenario: slot_duration must be finite"),
+    (lambda c: c["scenario"].update(dh_max=math.nan), "scenario: dh_max must be finite"),
+    (lambda c: c["agents"]["hyperparams"].update(lr_actor=math.nan), "agents.hyperparams: lr_actor must be finite"),
+]
+
 
 def test_parse_minimal_config(tmp_path):
     cfg = parse_config(base_config(tmp_path / "out"))
@@ -106,6 +119,9 @@ def test_parse_minimal_config(tmp_path):
         (lambda c: c["channel"].update(t_delay=math.nan), "channel: t_delay must be finite"),
         (lambda c: c["channel"].update(bandwidth_per_channel=math.nan), "channel: bandwidth_per_channel must be finite"),
         (lambda c: c["channel"].update(s_rel_min=-1.0), "channel: s_rel_min must be >= 0"),
+        (lambda c: c["lyapunov"].update(v_weight="big"), "lyapunov: v_weight must be finite, got 'big'"),
+        (lambda c: c["scenario"].update(p_max=None), "scenario: p_max must be finite, got None"),
+        *NON_FINITE_CASES,
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, needle):
@@ -504,6 +520,7 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     [
         (lambda c: c["channel"].update(t_delay=math.nan), "channel: t_delay"),
         (lambda c: c.update(output_dir=None), "output_dir"),
+        *NON_FINITE_CASES,
     ],
 )
 def test_cli_validate_exits_2_naming_the_field(tmp_path, capsys, mutate, needle):

@@ -7,7 +7,6 @@ from skysched.lyapunov import (
     check_queue_step_bound,
     check_quadratic_drift_bound,
     drift_plus_penalty_objective,
-    lyapunov_value,
     queue_update,
 )
 
@@ -42,12 +41,6 @@ def test_queue_rejects_negative_backlog():
 def test_queue_rejects_non_finite_backlog(backlog):
     with pytest.raises(ValueError, match="finite"):
         VirtualQueue(q=backlog)
-
-
-def test_lyapunov_value():
-    assert lyapunov_value(q(0.0)) == 0.0
-    assert lyapunov_value(q(10.0)) == 50.0
-    assert lyapunov_value(q(3.0)) == pytest.approx(4.5)
 
 
 def test_objective_reduces_to_rate_term_when_queue_empty():
