@@ -226,9 +226,11 @@ def actor_pg_update(policy, critic: DenseNet, states, hp: AgentHyperparams) -> f
     n, state_dim = states.shape
     actions, backfn = policy.sample_for_training(states)
     q, tape = forward(critic, np.concatenate([states, actions], axis=1))
+    mean_q = float(np.mean(q))
     _, d_input = backward(critic, tape, np.full((n, 1), 1.0 / n), param_grads=False)
+    del q, tape  # the critic's activations need not outlive the policy's gradient
     adam_step(policy.net, backfn(d_input[:, state_dim:]), policy.adam, maximize=True)
-    return float(np.mean(q))
+    return mean_q
 
 
 def ddqn_update(

@@ -73,10 +73,6 @@ class NetworkScenario:
     uav_initial_altitude: float = 100.0
 
     def __post_init__(self):
-        for name in ("m_links", "k_links", "n_slots"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         require_finite(self)
         if self.k_links > self.m_links:
             raise ValueError(f"k_links ({self.k_links}) must be <= m_links ({self.m_links})")

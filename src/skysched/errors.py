@@ -1,14 +1,19 @@
-"""Exception types shared across the package, and the parameter dataclasses' finiteness check."""
+"""Exception types shared across the package, and the parameter dataclasses' field check."""
 
+import dataclasses
 import math
 import numbers
 
 
 def require_finite(params) -> None:
-    """Raise ValueError naming the first field of the dataclass params that is not a finite number."""
-    for name, value in vars(params).items():
+    """Raise ValueError naming the first field of the dataclass params that is
+    not a finite number, or that is declared int but holds a float or a bool."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if f.type in (int, "int") and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 class SkySchedError(Exception):

@@ -61,6 +61,10 @@ class ExperimentConfig:
     resolved: dict  # plain-dict echo persisted into summary.json
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build_block(cls, block, name: str):
     if block is None:
         block = {}
@@ -90,8 +94,11 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         output_dir = base_dir / output_dir
 
     seeds = data.get("seeds")
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds: required non-empty list of integers")
+    bad = [s for s in seeds if not (_is_int(s) and s >= 0)]
+    if bad:
+        raise ConfigError(f"seeds: each must be an integer >= 0, got {bad[0]!r}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds: must be distinct")
 
@@ -114,8 +121,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if len(set(kinds)) != len(kinds):
         raise ConfigError("agents.kinds: must be distinct")
     episodes = agents_block.get("episodes")
-    if not isinstance(episodes, int) or episodes < 1:
-        raise ConfigError("agents.episodes: required integer >= 1")
+    if not _is_int(episodes) or episodes < 1:
+        raise ConfigError(f"agents.episodes: required integer >= 1, got {episodes!r}")
     hp_block = agents_block.get("hyperparams") or {}
     if not isinstance(hp_block, dict):
         raise ConfigError(f"agents.hyperparams: expected a mapping, got {type(hp_block).__name__}")
@@ -166,10 +173,10 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         raise ConfigError("env: accepts only 'outage_samples' and 'normalizer_warmup'")
     outage_samples = env_block.get("outage_samples", 500)
     normalizer_warmup = env_block.get("normalizer_warmup", 1000)
-    if not isinstance(outage_samples, int) or outage_samples < 1:
-        raise ConfigError("env.outage_samples: must be an integer >= 1")
-    if not isinstance(normalizer_warmup, int) or normalizer_warmup < 0:
-        raise ConfigError("env.normalizer_warmup: must be an integer >= 0")
+    if not _is_int(outage_samples) or outage_samples < 1:
+        raise ConfigError(f"env.outage_samples: must be an integer >= 1, got {outage_samples!r}")
+    if not _is_int(normalizer_warmup) or normalizer_warmup < 0:
+        raise ConfigError(f"env.normalizer_warmup: must be an integer >= 0, got {normalizer_warmup!r}")
 
     sweep_block = data.get("sweep") or {}
     if not isinstance(sweep_block, dict):

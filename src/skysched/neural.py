@@ -9,8 +9,9 @@ A net's parameters are one flat vector `params`: every weight, then every
 bias, in layer order; `weights` and `biases` are reshaped views of it.
 backward() returns the parameter gradient, summed over the batch, as a plain
 vector in the same layout (`net.views(grad)` splits it per layer), and Adam
-moments share it too, so Adam, soft updates, clones and checkpoints are
-whole-vector operations. adam_step() consumes its gradient.
+moments share it too. Clones and checkpoints are whole-vector operations;
+Adam and soft updates walk the vectors in BLOCK-sized pieces, so neither
+allocates a parameter-sized temporary. adam_step() consumes its gradient.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ import numpy as np
 from .errors import InvalidStateError
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
+
+# Float64 elements per piece of adam_step and soft_update (64 KiB). The one
+# scratch block stays below glibc's 128 KiB mmap threshold, so an update
+# reuses heap pages instead of faulting a fresh parameter-sized array in.
+BLOCK = 8192
 
 
 @dataclass
@@ -217,37 +223,50 @@ def adam_step(net: DenseNet, g: np.ndarray, state: AdamState, *, maximize: bool 
     """One in-place Adam update from gradient vector g in the params layout;
     maximize flips the gradient sign (ascent).
 
-    Consumes g: it is scratch, so one parameter-sized temporary suffices.
-    Per element: v += ((1-b2)*g)*g, p -= lr*(m/corr1) / (sqrt(v/corr2)+eps)."""
+    Consumes g: each BLOCK of it is scratch, and one more block-sized array is
+    the only temporary. Per element: v += ((1-b2)*g)*g, m += (1-b1)*g,
+    p -= lr*(m/corr1) / (sqrt(v/corr2)+eps)."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    if maximize:
-        np.negative(g, out=g)
-    scratch = np.multiply(g, 1.0 - b2)
-    scratch *= g
-    state.v *= b2
-    state.v += scratch
-    g *= 1.0 - b1
-    state.m *= b1
-    state.m += g
-    np.divide(state.v, 1.0 - b2**state.step, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.eps
-    np.divide(state.m, 1.0 - b1**state.step, out=g)
-    g *= state.lr
-    g /= scratch
-    net.params -= g
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    corr1, corr2 = 1.0 - b1**state.step, 1.0 - b2**state.step
+    scratch = np.empty(min(BLOCK, g.size))
+    for start in range(0, g.size, BLOCK):
+        sl = slice(start, start + BLOCK)
+        gb, m, v, p = g[sl], state.m[sl], state.v[sl], net.params[sl]
+        s = scratch[: gb.size]
+        if maximize:
+            np.negative(gb, out=gb)
+        np.multiply(gb, 1.0 - b2, out=s)
+        s *= gb
+        v *= b2
+        v += s
+        gb *= 1.0 - b1
+        m *= b1
+        m += gb
+        np.divide(v, corr2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(m, corr1, out=gb)
+        gb *= lr
+        gb /= s
+        p -= gb
     net.version += 1
 
 
 def soft_update(target: DenseNet, online: DenseNet, tau: float) -> DenseNet:
-    """In-place target' = tau*online + (1-tau)*target; returns target."""
+    """In-place target' = tau*online + (1-tau)*target, one BLOCK at a time
+    through one block-sized scratch; returns target."""
     if target.sizes != online.sizes:
         raise ValueError(f"architecture mismatch: {target.sizes} vs {online.sizes}")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    target.params *= 1.0 - tau
-    target.params += tau * online.params
+    scratch = np.empty(min(BLOCK, target.params.size))
+    for start in range(0, target.params.size, BLOCK):
+        t = target.params[start : start + BLOCK]
+        s = scratch[: t.size]
+        t *= 1.0 - tau
+        np.multiply(online.params[start : start + BLOCK], tau, out=s)
+        t += s
     target.version += 1
     return target
 

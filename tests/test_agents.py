@@ -1,6 +1,7 @@
 import itertools
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +451,28 @@ def test_evaluation_policy_is_pure_function_of_state():
     a1 = agent.act(state, info, evaluation=True)
     a2 = agent.act(state, info, evaluation=True)
     assert np.array_equal(a1, a2)
+
+
+def test_full_size_ddpg_update_peaks_below_2_2_actor_vectors():
+    """A steady-state DDPG update at the published sizes (M=K=10, width 256,
+    batch 64) holds no parameter-sized Adam or soft-update temporary, and the
+    critic's tape is gone before the policy's backward: the traced peak was
+    3.29x the actor's parameter bytes before, 2.05x after."""
+    scenario, hp = NetworkScenario(m_links=10, k_links=10), AgentHyperparams()
+    agent = make_agent("ddpg", scenario, ChannelParams(), hp, seed=0)
+    rng = np.random.default_rng(1)
+    for _ in range(hp.batch_size):
+        s, s2 = rng.standard_normal(scenario.state_dim), rng.standard_normal(scenario.state_dim)
+        agent.buffer.push((s, rng.uniform(-1.0, 1.0, scenario.action_dim), 1.0, s2))
+    for _ in range(3):
+        agent.update()  # steady state: Adam moments and BLAS buffers exist
+    tracemalloc.start()
+    try:
+        agent.update()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * agent.policy.net.params.nbytes
 
 
 def test_hyperparam_validation():

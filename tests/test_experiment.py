@@ -66,6 +66,22 @@ NON_FINITE_CASES = [
     (lambda c: c["agents"]["hyperparams"].update(lr_actor=math.nan), "agents.hyperparams: lr_actor must be finite"),
 ]
 
+# Integer fields given a float, a bool or a negative seed; before these checks
+# validation passed them and the run failed, or wrote True as a seed.
+INTEGER_CASES = [
+    (lambda c: c.update(seeds=[-1]), "seeds: each must be an integer >= 0, got -1"),
+    (lambda c: c.update(seeds=[True]), "seeds: each must be an integer >= 0, got True"),
+    (lambda c: c["agents"]["hyperparams"].update(hidden_width=8.5), "agents.hyperparams: hidden_width must be an integer"),
+    (lambda c: c["agents"]["hyperparams"].update(batch_size=2.5), "agents.hyperparams: batch_size must be an integer"),
+    (lambda c: c["agents"]["hyperparams"].update(batch_size=True), "agents.hyperparams: batch_size must be an integer, got True"),
+    (lambda c: c["agents"]["hyperparams"].update(warmup_steps=1.5), "agents.hyperparams: warmup_steps must be an integer"),
+    (lambda c: c["agents"]["hyperparams"].update(denoise_steps=2.0), "agents.hyperparams: denoise_steps must be an integer"),
+    (lambda c: c.update(sweep={"denoise_steps": [2.0]}), "sweep.denoise_steps: denoise_steps must be an integer"),
+    (lambda c: c["agents"].update(episodes=True), "agents.episodes: required integer >= 1, got True"),
+    (lambda c: c.update(env={"outage_samples": True}), "env.outage_samples: must be an integer >= 1, got True"),
+    (lambda c: c.update(env={"normalizer_warmup": False}), "env.normalizer_warmup: must be an integer >= 0, got False"),
+]
+
 
 def test_parse_minimal_config(tmp_path):
     cfg = parse_config(base_config(tmp_path / "out"))
@@ -122,6 +138,7 @@ def test_parse_minimal_config(tmp_path):
         (lambda c: c["lyapunov"].update(v_weight="big"), "lyapunov: v_weight must be finite, got 'big'"),
         (lambda c: c["scenario"].update(p_max=None), "scenario: p_max must be finite, got None"),
         *NON_FINITE_CASES,
+        *INTEGER_CASES,
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, needle):
@@ -521,6 +538,7 @@ def test_cli_validate_bad_config(tmp_path, capsys):
         (lambda c: c["channel"].update(t_delay=math.nan), "channel: t_delay"),
         (lambda c: c.update(output_dir=None), "output_dir"),
         *NON_FINITE_CASES,
+        *INTEGER_CASES,
     ],
 )
 def test_cli_validate_exits_2_naming_the_field(tmp_path, capsys, mutate, needle):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from skysched.errors import InvalidStateError
 from skysched.neural import (
+    BLOCK,
     AdamState,
     DenseNet,
     adam_step,
@@ -282,6 +285,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 # -- flat parameter layout -----------------------------------------------------
 
+TINY = (3, 8, 2)  # 50 parameters: less than one block
+TWO_BLOCKS = (127, 128)  # 127*128 + 128 = 2 * BLOCK parameters
 DESK_DENOISER = (58, 64, 64, 64, 25)  # D3PG denoiser, desk preset, M=K=4
 FULL_CRITIC = (252, 256, 256, 256, 1)  # DDPG critic, full preset, M=K=10
 
@@ -321,7 +326,9 @@ def reference_adam(params, grads, m, v, state, step, maximize):
         p -= state.lr * (mm / corr1) / (np.sqrt(vv / corr2) + state.eps)
 
 
-@pytest.mark.parametrize("sizes", [DESK_DENOISER, FULL_CRITIC], ids=["desk_denoiser", "full_critic"])
+@pytest.mark.parametrize(
+    "sizes", [TINY, TWO_BLOCKS, DESK_DENOISER, FULL_CRITIC], ids=["tiny", "two_blocks", "desk_denoiser", "full_critic"]
+)
 @pytest.mark.parametrize("maximize", [False, True])
 def test_adam_step_equals_per_layer_reference_bit_for_bit(sizes, maximize):
     net = make_net(sizes, seed=21)
@@ -340,33 +347,56 @@ def test_adam_step_equals_per_layer_reference_bit_for_bit(sizes, maximize):
     assert np.array_equal(adam.v, np.concatenate([a.ravel() for a in ref_v]))
 
 
-def test_soft_update_and_clone_equal_per_layer_reference():
-    target, online = make_net(DESK_DENOISER, seed=1), make_net(DESK_DENOISER, seed=2)
+def assert_soft_update_equals_per_layer_reference(sizes) -> DenseNet:
+    """Soft-update two nets of the given sizes against a per-layer reference; returns the online net."""
+    target, online = make_net(sizes, seed=1), make_net(sizes, seed=2)
     expected = [t * (1.0 - 0.005) + 0.005 * o for t, o in zip(target.weights + target.biases, online.weights + online.biases)]
     soft_update(target, online, 0.005)
     assert all(np.array_equal(a, b) for a, b in zip(target.weights + target.biases, expected))
+    return online
+
+
+@pytest.mark.parametrize("sizes", [TINY, TWO_BLOCKS, FULL_CRITIC], ids=["tiny", "two_blocks", "full_critic"])
+def test_soft_update_equals_per_layer_reference_at_other_block_counts(sizes):
+    assert_soft_update_equals_per_layer_reference(sizes)
+
+
+def test_soft_update_and_clone_equal_per_layer_reference():
+    online = assert_soft_update_equals_per_layer_reference(DESK_DENOISER)
     twin = clone(online)
     assert all(np.array_equal(a, b) for a, b in zip(twin.weights + twin.biases, online.weights + online.biases))
     twin.params[:] = 0.0
     assert np.all(twin.weights[0] == 0.0) and not np.all(online.params == 0.0)
 
 
-def test_adam_step_peak_memory_is_one_parameter_vector():
-    """Adam reuses the consumed gradient as scratch and allocates one more
-    parameter-sized temporary; a direct flat expression would hold about four."""
-    import tracemalloc
+def traced_peak(fn) -> int:
+    """Bytes at the tracemalloc peak of one fn() call."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
+
+BLOCK_BYTES = BLOCK * np.dtype(np.float64).itemsize
+
+
+def test_adam_step_peak_memory_is_at_most_two_blocks():
+    """Adam reuses each consumed gradient block as scratch and allocates one
+    block more; a whole-vector pass would hold a parameter-sized temporary
+    (1.5 MiB here)."""
     net = make_net(FULL_CRITIC, seed=3)
     adam = AdamState.for_net(net, lr=1e-3)
     adam_step(net, np.zeros_like(net.params), adam)  # warm up any lazy allocations
     grads = np.random.default_rng(4).standard_normal(net.params.size)
-    tracemalloc.start()
-    try:
-        adam_step(net, grads, adam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * net.params.nbytes
+    assert traced_peak(lambda: adam_step(net, grads, adam)) <= 2 * BLOCK_BYTES + 4096
+
+
+def test_soft_update_peak_memory_is_one_block():
+    target, online = make_net(FULL_CRITIC, seed=5), make_net(FULL_CRITIC, seed=6)
+    soft_update(target, online, 0.005)  # warm up any lazy allocations
+    assert traced_peak(lambda: soft_update(target, online, 0.005)) <= BLOCK_BYTES + 4096
 
 
 def test_load_checkpoint_rejects_vector_that_does_not_fit_sizes(tmp_path):
