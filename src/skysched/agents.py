@@ -81,16 +81,20 @@ class AgentHyperparams:
             raise ValueError("discount must be in [0, 1)")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.update_every < 1:
-            raise ValueError("update_every must be >= 1")
         if self.power_levels < 2:
             raise ValueError("power_levels must be >= 2")
-        if self.altitude_levels < 1:
-            raise ValueError("altitude_levels must be >= 1")
-        if self.hidden_width < 1:
-            raise ValueError("hidden_width must be >= 1")
+        for name in ("batch_size", "update_every", "altitude_levels", "hidden_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("hidden_layers", "warmup_steps", "exploration_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("lr_actor", "lr_critic", "reward_scale"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         # The buffer's and the schedule's own rules, checked before any agent is built.
         ReplayBuffer(self.buffer_capacity, None)
         build_schedule(self.denoise_steps, self.beta_min, self.beta_max)
@@ -116,7 +120,7 @@ def desk_scale_hyperparams(**overrides) -> AgentHyperparams:
 
 
 class ReplayBuffer:
-    """Capacity-bounded FIFO ring with uniform seeded sampling."""
+    """FIFO ring of transition tuples; sample() draws uniformly and stacks each field into one array."""
 
     def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity < 1:
@@ -136,9 +140,9 @@ class ReplayBuffer:
             self._items[self._pos] = item
         self._pos = (self._pos + 1) % self.capacity
 
-    def sample(self, batch_size: int) -> list:
+    def sample(self, batch_size: int) -> list[np.ndarray]:
         idx = self._rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        return [np.array(column) for column in zip(*(self._items[i] for i in idx))]
 
 
 @functools.cache
@@ -187,25 +191,18 @@ def hungarian_assign(cost: np.ndarray) -> tuple[np.ndarray, float]:
 # -- update rules ----------------------------------------------------------
 
 
-def _columns(batch: list) -> list[np.ndarray]:
-    """Stack a list of transition tuples into one array per field."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    return [np.array(column) for column in zip(*batch)]
-
-
 def critic_td_update(
     critic: DenseNet,
     critic_adam: AdamState,
     target_critic: DenseNet,
     target_policy,
-    batch: list,
+    batch: list[np.ndarray],
     hp: AgentHyperparams,
 ) -> float:
-    """One Adam descent step on the mean squared TD error over (s, a, r, s2)
-    transitions; returns the pre-step loss. target_policy maps a (B, n) batch
+    """One Adam descent step on the mean squared TD error over stacked (s, a,
+    r, s2) columns; returns the pre-step loss. target_policy maps a (B, n) batch
     of next states to a (B, action_dim) batch of next actions."""
-    s, a, r, s2 = _columns(batch)
+    s, a, r, s2 = batch
     n = len(r)
     q2 = forward_only(target_critic, np.concatenate([s2, target_policy(s2)], axis=1))[:, 0]
     y = r * hp.reward_scale + hp.discount * q2
@@ -216,13 +213,10 @@ def critic_td_update(
     return float(err @ err) / n
 
 
-def actor_pg_update(policy, critic: DenseNet, states, hp: AgentHyperparams) -> float:
+def actor_pg_update(policy, critic: DenseNet, states: np.ndarray) -> float:
     """One Adam ascent step on mean Q(s, pi(s)) through the policy's own
     differentiable sampler, run once over the whole (B, n) batch of states;
     returns the pre-step mean Q. The critic's parameters are left untouched."""
-    states = np.asarray(states, dtype=np.float64)
-    if len(states) == 0:
-        raise ValueError("states must be non-empty")
     n, state_dim = states.shape
     actions, backfn = policy.sample_for_training(states)
     q, tape = forward(critic, np.concatenate([states, actions], axis=1))
@@ -237,14 +231,14 @@ def ddqn_update(
     qnet: DenseNet,
     qnet_adam: AdamState,
     target_qnet: DenseNet,
-    batch: list,
+    batch: list[np.ndarray],
     hp: AgentHyperparams,
     heads: list[tuple[int, int]],
 ) -> float:
-    """Factored double-Q update: each head picks argmax with the online net and
-    evaluates it with the target net. One descent step on the mean squared
-    error across heads; returns the pre-step loss."""
-    s, idxs, r, s2 = _columns(batch)
+    """Factored double-Q update on stacked (s, head indices, r, s2) columns: each
+    head picks argmax with the online net and evaluates it with the target net.
+    One descent step on the mean squared error across heads; returns the pre-step loss."""
+    s, idxs, r, s2 = batch
     n, n_heads = len(r), len(heads)
     q_next_online = forward_only(qnet, s2)
     q_next_target = forward_only(target_qnet, s2)
@@ -348,7 +342,6 @@ class ActorCriticAgent:
     def __init__(self, kind: str, scenario: NetworkScenario, hp: AgentHyperparams, seed: int):
         self.kind = kind
         self.hp = hp
-        self.seed = seed
         state_dim, action_dim = scenario.state_dim, scenario.action_dim
         init_rng = np.random.default_rng((seed, 2001))
         self.rng = np.random.default_rng((seed, 2002))
@@ -396,7 +389,7 @@ class ActorCriticAgent:
         batch = self.buffer.sample(self.hp.batch_size)
         loss = critic_td_update(self.critic, self.critic_adam, self.target_critic, self._target_policy, batch, self.hp)
         _check_finite("critic loss", loss, self.critic_adam.step)
-        mean_q = actor_pg_update(self.policy, self.critic, [s for s, _, _, _ in batch], self.hp)
+        mean_q = actor_pg_update(self.policy, self.critic, batch[0])
         _check_finite("mean Q", mean_q, self.critic_adam.step)
         soft_update(self.target_actor, self.policy.net, self.hp.tau)
         soft_update(self.target_critic, self.critic, self.hp.tau)
@@ -417,7 +410,6 @@ class HDDQNAgent:
         self, scenario: NetworkScenario, hp: AgentHyperparams, seed: int, channel_params: ChannelParams
     ):
         self.hp = hp
-        self.seed = seed
         self.scenario = scenario
         self.channel_params = channel_params
         k, m = scenario.k_links, scenario.m_links

@@ -29,8 +29,6 @@ class DiffusionSchedule:
     """
 
     steps: int
-    beta_min: float
-    beta_max: float
     beta: np.ndarray
     phi: np.ndarray
     phi_bar: np.ndarray
@@ -56,8 +54,6 @@ def build_schedule(steps: int, beta_min: float = 0.1, beta_max: float = 10.0) ->
         raise ValueError("schedule produced rates outside (0,1) or non-increasing")
     return DiffusionSchedule(
         steps=steps,
-        beta_min=beta_min,
-        beta_max=beta_max,
         beta=beta,
         phi=phi,
         phi_bar=phi_bar,

@@ -108,14 +108,12 @@ class FeasibleAction:
 
 @dataclass(frozen=True)
 class RewardBreakdown:
-    """Reward and its exact decomposition for one slot."""
+    """One slot's reward and the quantities it was scored on:
+    reward = -drift_plus_penalty_objective(Q, power, mean_v2u_rate) - outage_violations * gamma_pen."""
 
     reward: float
     mean_v2u_rate: float  # bits/s
-    rate_term: float  # V * mean rate (scaled)
-    queue_term: float  # Q * (P*dt - E_th)
     outage_violations: int
-    penalty_applied: float
     power: float  # W
 
 
@@ -285,8 +283,9 @@ class VehicularEnv:
         self.observe_aged = observe_aged
         self.outage_samples = outage_samples
         self.n_slots = min(scenario.n_slots, trace.n_slots - 1)
-        v2u_tx, v2v_pairs = default_pairing(trace.vehicle_ids, scenario.m_links, scenario.k_links)
-        columns = {vid: i for i, vid in enumerate(trace.vehicle_ids)}
+        ids = trace.ids.tolist()
+        v2u_tx, v2v_pairs = default_pairing(ids, scenario.m_links, scenario.k_links)
+        columns = {vid: i for i, vid in enumerate(ids)}
         endpoints = (*v2u_tx, *(vid for pair in v2v_pairs for vid in pair))
         # Trace columns of the M V2U transmitters and of the K (tx, rx) pairs, resolved once.
         cols = np.array([columns[vid] for vid in endpoints], dtype=np.intp)
@@ -306,11 +305,14 @@ class VehicularEnv:
     def _slot_rng(self, slot: int, stream: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, self._episode, slot, stream))
 
-    def _observe_gains(self, uav: UavState, slot: int) -> LinkGains:
-        """Draw the slot's fading and gains; keep the fading for the reprice."""
-        rng = self._slot_rng(slot, 0)
+    def _observe(self) -> tuple[np.ndarray, dict]:
+        """Draw the current slot's fading and gains (the fading is kept for the
+        step's reprice), then build the state and the info dict."""
+        rng = self._slot_rng(self._slot, 0)
         self._fading = draw_fading(self.scenario.m_links, self.scenario.k_links, rng)
-        return assemble_gains(uav, self._geometry, slot, self._fading, self.channel_params, rng)
+        self._gains = assemble_gains(self._uav, self._geometry, self._slot, self._fading, self.channel_params, rng)
+        state = build_state(self._gains, self._queue, self.scenario, self.observe_aged, self.normalizer)
+        return state, dict(episode=self._episode, slot=self._slot, gains=self._gains, queue=self._queue.q, uav=self._uav)
 
     # -- gym-style API -----------------------------------------------------
 
@@ -325,10 +327,7 @@ class VehicularEnv:
             velocity=(self.scenario.uav_speed, 0.0, 0.0),
         )
         self._queue = VirtualQueue(0.0, self.scenario.e_th, self.scenario.slot_duration)
-        self._gains = self._observe_gains(self._uav, 0)
-        state = build_state(self._gains, self._queue, self.scenario, self.observe_aged, self.normalizer)
-        info = {"episode": self._episode, "slot": 0, "gains": self._gains, "queue": self._queue.q, "uav": self._uav}
-        return state, info
+        return self._observe()
 
     def step(self, raw_action: np.ndarray) -> tuple[np.ndarray, RewardBreakdown, bool, dict]:
         if self._done:
@@ -367,33 +366,15 @@ class VehicularEnv:
 
         power = propulsion_power(uav_next.velocity, self.power_params)
         cfg = self.lyapunov_cfg
-        penalty = violations * cfg.gamma_pen
-        reward = -drift_plus_penalty_objective(self._queue, power, mean_rate, cfg) - penalty
+        reward = -drift_plus_penalty_objective(self._queue, power, mean_rate, cfg) - violations * cfg.gamma_pen
         if not math.isfinite(reward):
             raise NonFiniteRewardError(f"episode {self._episode}, slot {self._slot}: reward {reward} is not finite")
-        breakdown = RewardBreakdown(
-            reward=reward,
-            mean_v2u_rate=mean_rate,
-            rate_term=cfg.v_weight * mean_rate * cfg.rate_scale,
-            queue_term=self._queue.q * (power * scenario.slot_duration - scenario.e_th),
-            outage_violations=violations,
-            penalty_applied=penalty,
-            power=power,
-        )
+        breakdown = RewardBreakdown(reward=reward, mean_v2u_rate=mean_rate, outage_violations=violations, power=power)
 
         self._queue = queue_update(self._queue, power)
         self._uav = uav_next
         self._slot += 1
         self._done = self._slot >= self.n_slots
-        self._gains = self._observe_gains(self._uav, self._slot)
-        state = build_state(self._gains, self._queue, self.scenario, self.observe_aged, self.normalizer)
-        info = {
-            "episode": self._episode,
-            "slot": self._slot,
-            "gains": self._gains,
-            "queue": self._queue.q,
-            "uav": self._uav,
-            "power": power,
-            "feasible": feasible,
-        }
+        state, info = self._observe()
+        info.update(power=power, feasible=feasible)
         return state, breakdown, self._done, info

@@ -6,12 +6,20 @@ import numbers
 
 
 def require_finite(params) -> None:
-    """Raise ValueError naming the first field of the dataclass params that is
-    not a finite number, or that is declared int but holds a float or a bool."""
+    """Raise ValueError naming the first field of the dataclass params whose
+    value does not fit its declared type: a bool field needs a bool, an int
+    field an int that is not a bool, and every other field a finite real
+    number that is not a bool."""
     for f in dataclasses.fields(params):
         value = getattr(params, f.name)
+        if f.type in (bool, "bool"):
+            if not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+            continue
         if f.type in (int, "int") and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if isinstance(value, bool):
+            raise ValueError(f"{f.name} must be a real number, got {value!r}")
         if not (isinstance(value, numbers.Real) and math.isfinite(value)):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 

@@ -139,11 +139,13 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not isinstance(mobility, dict) or ("platoon" in mobility) == ("trace" in mobility):
         raise ConfigError("mobility: required mapping with exactly one of 'platoon' or 'trace'")
     if "trace" in mobility:
+        if not isinstance(mobility["trace"], str):
+            raise ConfigError(f"mobility.trace: expected a path string, got {mobility['trace']!r}")
         trace_path = Path(mobility["trace"])
         if base_dir is not None and not trace_path.is_absolute():
             trace_path = base_dir / trace_path
-        if not trace_path.exists():
-            raise ConfigError(f"mobility.trace: file not found: {trace_path}")
+        if not trace_path.is_file():
+            raise ConfigError(f"mobility.trace: not a file: {trace_path}")
         mobility = {"trace": str(trace_path)}
     else:
         if not isinstance(mobility["platoon"], dict):

@@ -87,10 +87,6 @@ class MobilityTrace:
     def n_slots(self) -> int:
         return len(self.x)
 
-    @property
-    def vehicle_ids(self) -> tuple[int, ...]:
-        return tuple(self.ids.tolist())
-
     def frame(self, t: int) -> np.ndarray:
         """Slot t as (N, 4) rows of (id, x, y, speed)."""
         return np.array([self.ids, self.x[t], self.y[t], self.speed[t]]).T
@@ -150,8 +146,9 @@ def write_trace(trace: MobilityTrace, path) -> None:
     """Write a trace in the CSV schema accepted by load_trace (UTF-8, LF)."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
+        ids = trace.ids.tolist()
         for t, columns in enumerate(zip(trace.x.tolist(), trace.y.tolist(), trace.speed.tolist())):
-            for vid, x, y, speed in zip(trace.vehicle_ids, *columns):
+            for vid, x, y, speed in zip(ids, *columns):
                 fh.write(f"{t},{vid},{x!r},{y!r},{speed!r}\n")
 
 

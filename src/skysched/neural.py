@@ -2,8 +2,9 @@
 Adam updates, soft target updates, and bit-exact checkpoints.
 
 Inputs are one sample `(n,)` or a batch `(B, n)`; every layer is `a @ w.T + b`,
-so both run the same code and a 1-D input stays 1-D. Everything is float64
-so finite-difference gradient checks hold to 1e-5 relative error.
+so both run the same code and a 1-D input stays 1-D. Hidden layers are relu,
+the output layer identity or tanh. Everything is float64 so finite-difference
+gradient checks hold to 1e-5 relative error.
 
 A net's parameters are one flat vector `params`: every weight, then every
 bias, in layer order; `weights` and `biases` are reshaped views of it.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 
-_ACTIVATIONS = ("relu", "tanh", "identity")
+_OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
 # Float64 elements per piece of adam_step and soft_update (64 KiB). The one
 # scratch block stays below glibc's 128 KiB mmap threshold, so an update
@@ -41,14 +42,13 @@ class DenseNet:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    hidden_activation: str = "relu"
     output_activation: str = "identity"
     version: int = 0
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.hidden_activation not in _ACTIVATIONS or self.output_activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation; choose from {_ACTIVATIONS}")
+        if self.output_activation not in _OUTPUT_ACTIVATIONS:
+            raise ValueError(f"unknown output activation; choose from {_OUTPUT_ACTIVATIONS}")
         if not self.weights or len(self.weights) != len(self.biases):
             raise ValueError(f"need >= 1 layer and one bias per weight: {len(self.weights)} vs {len(self.biases)}")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -68,10 +68,10 @@ class DenseNet:
         return arrays[: len(arrays) // 2], arrays[len(arrays) // 2 :]
 
     @classmethod
-    def zeros(cls, sizes, hidden_activation: str = "relu", output_activation: str = "identity") -> "DenseNet":
+    def zeros(cls, sizes, output_activation: str = "identity") -> "DenseNet":
         """A net with layer sizes `sizes` and every parameter zero."""
         shapes = list(zip(sizes[1:], sizes[:-1]))
-        return cls([np.zeros(s) for s in shapes], [np.zeros(n) for n, _ in shapes], hidden_activation, output_activation)
+        return cls([np.zeros(s) for s in shapes], [np.zeros(n) for n, _ in shapes], output_activation)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -101,7 +101,6 @@ def init_dense(
     sizes: tuple[int, ...],
     rng: np.random.Generator,
     *,
-    hidden_activation: str = "relu",
     output_activation: str = "identity",
     final_scale: float = 1.0,
 ) -> DenseNet:
@@ -118,7 +117,7 @@ def init_dense(
             b *= final_scale
         weights.append(w)
         biases.append(b)
-    return DenseNet(weights, biases, hidden_activation, output_activation)
+    return DenseNet(weights, biases, output_activation)
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -129,12 +128,13 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _act_grad(grad: np.ndarray, z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+    """d(loss)/dz from d(loss)/da; an identity layer passes grad through."""
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return grad * (z > 0.0).astype(np.float64)
     if kind == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
+        return grad * (1.0 - a * a)
+    return grad
 
 
 def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
@@ -149,8 +149,7 @@ def forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, Tape]:
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w.T + b
-        kind = net.output_activation if i == last else net.hidden_activation
-        a = _act(z, kind)
+        a = _act(z, net.output_activation if i == last else "relu")
         pre.append(z)
         post.append(a)
     return a, Tape(net_id=id(net), net_version=net.version, x=x, pre=pre, post=post)
@@ -161,8 +160,7 @@ def forward_only(net: DenseNet, x: np.ndarray) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        kind = net.output_activation if i == last else net.hidden_activation
-        a = _act(a @ w.T + b, kind)
+        a = _act(a @ w.T + b, net.output_activation if i == last else "relu")
     return a
 
 
@@ -189,9 +187,8 @@ def backward(
     last = len(net.weights) - 1
     grad = dy.reshape(n_rows, -1)
     for i in range(last, -1, -1):
-        kind = net.output_activation if i == last else net.hidden_activation
         z, a = tape.pre[i].reshape(n_rows, -1), tape.post[i].reshape(n_rows, -1)
-        dz = grad * _act_grad(z, a, kind)
+        dz = _act_grad(grad, z, a, net.output_activation if i == last else "relu")
         if param_grads:
             a_prev = (tape.x if i == 0 else tape.post[i - 1]).reshape(n_rows, -1)
             np.matmul(dz.T, a_prev, out=d_weights[i])
@@ -278,9 +275,7 @@ def clone(net: DenseNet) -> DenseNet:
 
 def save_checkpoint(net: DenseNet, path) -> None:
     """Write an architecture header plus the params vector; round-trip is bit-exact."""
-    header = json.dumps(
-        {"sizes": list(net.sizes), "hidden_activation": net.hidden_activation, "output_activation": net.output_activation}
-    )
+    header = json.dumps({"sizes": list(net.sizes), "output_activation": net.output_activation})
     with open(path, "wb") as fh:  # a file object, so savez adds no .npz suffix to path
         np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8), params=net.params)
 
@@ -289,7 +284,7 @@ def load_checkpoint(path) -> DenseNet:
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode("utf-8"))
         params = data["params"]
-    net = DenseNet.zeros(header["sizes"], header["hidden_activation"], header["output_activation"])
+    net = DenseNet.zeros(header["sizes"], header["output_activation"])
     if params.shape != net.params.shape:
         raise ValueError(f"{path}: {params.size} parameters do not fit sizes {header['sizes']}")
     net.params[:] = params

@@ -55,6 +55,11 @@ def toy_env(seed=0, t_delay=0.01, n_slots=10, observe_aged=True):
     )
 
 
+def stack(transitions):
+    """Transition tuples as one stacked array per field, as ReplayBuffer.sample returns them."""
+    return [np.array(column) for column in zip(*transitions)]
+
+
 def tiny_hp(**kw):
     base = dict(hidden_width=16, batch_size=4, warmup_steps=5)
     base.update(kw)
@@ -73,16 +78,20 @@ def test_buffer_fifo_eviction():
 
 
 def test_buffer_uniform_seeded_sampling():
-    buf = ReplayBuffer(100, np.random.default_rng(7))
-    for i in range(50):
-        buf.push(i)
-    sample = buf.sample(32)
-    assert len(sample) == 32
-    assert all(0 <= s < 50 for s in sample)
-    buf2 = ReplayBuffer(100, np.random.default_rng(7))
-    for i in range(50):
-        buf2.push(i)
-    assert buf2.sample(32) == sample
+    def filled(seed):
+        buf = ReplayBuffer(100, np.random.default_rng(seed))
+        for i in range(50):
+            buf.push((np.full(3, float(i)), i, 0.5 * i))
+        return buf
+
+    rows, ids, rewards = filled(7).sample(32)
+    assert rows.shape == (32, 3) and ids.shape == (32,) and rewards.shape == (32,)
+    assert np.all((0 <= ids) & (ids < 50))
+    assert np.array_equal(rows, np.repeat(ids[:, None].astype(float), 3, axis=1))
+    assert np.array_equal(rewards, 0.5 * ids)
+    again = filled(7).sample(32)
+    assert all(np.array_equal(a, b) for a, b in zip(again, (rows, ids, rewards)))
+    assert not np.array_equal(filled(8).sample(32)[1], ids)
 
 
 # -- hungarian ----------------------------------------------------------------
@@ -181,7 +190,7 @@ def test_critic_update_regresses_to_reward_with_zero_discount():
         for _ in range(8)
     ]
     losses = [
-        critic_td_update(critic, adam, target_critic, lambda s: np.zeros((len(s), action_dim)), batch, hp)
+        critic_td_update(critic, adam, target_critic, lambda s: np.zeros((len(s), action_dim)), stack(batch), hp)
         for _ in range(300)
     ]
     assert losses[-1] < losses[0] * 0.05
@@ -196,7 +205,7 @@ def test_critic_update_zero_loss_leaves_parameters():
     hp = AgentHyperparams(discount=0.0, reward_scale=1.0)
     s, a = np.ones(state_dim), np.ones(action_dim)
     batch = [(s, a, 0.0, s)]  # Q(s, a) = 0 = y
-    loss = critic_td_update(critic, adam, clone(critic), lambda s2: np.tile(a, (len(s2), 1)), batch, hp)
+    loss = critic_td_update(critic, adam, clone(critic), lambda s2: np.tile(a, (len(s2), 1)), stack(batch), hp)
     assert loss == 0.0
     assert np.all(critic.weights[0] == 0.0)
 
@@ -214,9 +223,9 @@ def test_critic_update_loss_decreases_on_fixed_batch():
         for _ in range(16)
     ]
     policy = lambda s: forward_only(target_actor, s)
-    first = critic_td_update(critic, adam, target_critic, policy, batch, hp)
+    first = critic_td_update(critic, adam, target_critic, policy, stack(batch), hp)
     for _ in range(99):
-        last = critic_td_update(critic, adam, target_critic, policy, batch, hp)
+        last = critic_td_update(critic, adam, target_critic, policy, stack(batch), hp)
     assert last < first
 
 
@@ -235,7 +244,7 @@ def test_critic_update_loss_is_mean_of_per_sample_losses():
 
     def loss_on(transitions):
         net = clone(critic)
-        return critic_td_update(net, AdamState.for_net(net, 1e-3), target_critic, policy, transitions, hp)
+        return critic_td_update(net, AdamState.for_net(net, 1e-3), target_critic, policy, stack(transitions), hp)
 
     per_sample = [loss_on([t]) for t in batch]
     assert loss_on(batch) == pytest.approx(np.mean(per_sample), rel=1e-12)
@@ -255,7 +264,7 @@ def test_ddqn_update_loss_is_mean_of_per_sample_losses():
 
     def loss_on(transitions):
         net = clone(qnet)
-        return ddqn_update(net, AdamState.for_net(net, 1e-3), target, transitions, hp, heads)
+        return ddqn_update(net, AdamState.for_net(net, 1e-3), target, stack(transitions), hp, heads)
 
     per_sample = [loss_on([t]) for t in batch]
     assert loss_on(batch) == pytest.approx(np.mean(per_sample), rel=1e-12)
@@ -281,7 +290,7 @@ def test_actor_update_no_gradient_when_critic_ignores_action():
     before = [w.copy() for w in actor.weights]
     critic = lin_critic(state_dim, action_dim, w_state=0.7, w_action=0.0)
     states = [rng.standard_normal(state_dim) for _ in range(6)]
-    actor_pg_update(policy, critic, states, AgentHyperparams())
+    actor_pg_update(policy, critic, np.array(states))
     assert all(np.array_equal(a, b) for a, b in zip(before, actor.weights))
 
 
@@ -293,7 +302,7 @@ def test_actor_update_ascends_when_critic_rewards_action():
     critic = lin_critic(state_dim, action_dim, w_action=1.0)  # Q = a
     state = np.array([0.4, -0.2])
     before = forward_only(actor, state)[0]
-    actor_pg_update(policy, critic, [state], AgentHyperparams())
+    actor_pg_update(policy, critic, state[None, :])
     after = forward_only(actor, state)[0]
     assert after > before
 
@@ -305,7 +314,7 @@ def test_actor_update_mean_q_increases_on_frozen_critic():
     policy = _MlpPolicyForTest(actor, lr=5e-3)
     critic = init_dense((state_dim + action_dim, 16, 1), rng)
     states = [rng.standard_normal(state_dim) for _ in range(8)]
-    values = [actor_pg_update(policy, critic, states, AgentHyperparams()) for _ in range(50)]
+    values = [actor_pg_update(policy, critic, np.array(states)) for _ in range(50)]
     assert values[-1] > values[0]
 
 
@@ -317,9 +326,9 @@ def test_ddqn_update_regression_and_double_q_target():
     adam = AdamState.for_net(qnet, lr=3e-3)
     hp = AgentHyperparams(discount=0.0, reward_scale=1.0)
     batch = [(rng.standard_normal(state_dim), np.array([1, 3]), 0.5, rng.standard_normal(state_dim))]
-    first = ddqn_update(qnet, adam, clone(qnet), batch, hp, heads)
+    first = ddqn_update(qnet, adam, clone(qnet), stack(batch), hp, heads)
     for _ in range(200):
-        last = ddqn_update(qnet, adam, clone(qnet), batch, hp, heads)
+        last = ddqn_update(qnet, adam, clone(qnet), stack(batch), hp, heads)
     assert last < first
     q = forward_only(qnet, batch[0][0])
     assert q[0 + 1] == pytest.approx(0.5, abs=0.1)
@@ -339,7 +348,7 @@ def test_ddqn_target_reduces_to_dqn_when_nets_equal():
     expected_y = r + 0.9 * np.max(q_next)  # argmax online == max target when equal
     q_before = forward_only(qnet, s)
     idx = 1
-    loss = ddqn_update(qnet, AdamState.for_net(qnet, 1e-3), target, [(s, np.array([idx]), r, s2)], hp, heads)
+    loss = ddqn_update(qnet, AdamState.for_net(qnet, 1e-3), target, stack([(s, np.array([idx]), r, s2)]), hp, heads)
     assert loss == pytest.approx((q_before[idx] - expected_y) ** 2, rel=1e-9)
 
 

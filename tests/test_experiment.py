@@ -82,6 +82,36 @@ INTEGER_CASES = [
     (lambda c: c.update(env={"normalizer_warmup": False}), "env.normalizer_warmup: must be an integer >= 0, got False"),
 ]
 
+# Booleans in float fields and non-booleans in bool fields; before these
+# checks validation passed them and summary.json echoed them.
+TYPE_CASES = [
+    (lambda c: c["channel"].update(t_delay=True), "channel: t_delay must be a real number, got True"),
+    (lambda c: c.update(energy={"clamp_descent": 0.5}), "energy: clamp_descent must be true or false, got 0.5"),
+    (lambda c: c["scenario"].update(p_max=True), "scenario: p_max must be a real number, got True"),
+    (lambda c: c["agents"]["hyperparams"].update(tau=True), "agents.hyperparams: tau must be a real number, got True"),
+    (lambda c: c["agents"]["hyperparams"].update(lr_actor=False), "agents.hyperparams: lr_actor must be a real number"),
+]
+
+# A trace path that is not a string crashed validate; a directory passed it
+# and then crashed run.
+TRACE_CASES = [
+    (lambda c: c.update(mobility={"trace": 5}), "mobility.trace: expected a path string, got 5"),
+    (lambda c: c.update(mobility={"trace": "."}), "mobility.trace: not a file"),
+]
+
+# Out-of-range hyperparameters; before these checks they validated and ran
+# (hidden_layers: -1 built nets with no hidden layer).
+RANGE_CASES = [
+    (lambda c: c["agents"]["hyperparams"].update(hidden_layers=-1), "agents.hyperparams: hidden_layers must be >= 0"),
+    (lambda c: c["agents"]["hyperparams"].update(warmup_steps=-5), "agents.hyperparams: warmup_steps must be >= 0"),
+    (lambda c: c["agents"]["hyperparams"].update(lr_actor=-0.001), "agents.hyperparams: lr_actor must be positive"),
+    (lambda c: c["agents"]["hyperparams"].update(lr_critic=0.0), "agents.hyperparams: lr_critic must be positive"),
+    (lambda c: c["agents"]["hyperparams"].update(reward_scale=-1.0), "agents.hyperparams: reward_scale must be positive"),
+    (lambda c: c["agents"]["hyperparams"].update(exploration_sigma=-0.2), "agents.hyperparams: exploration_sigma must be >= 0"),
+    (lambda c: c["agents"]["hyperparams"].update(epsilon_start=3.0), "agents.hyperparams: epsilon_start must be in"),
+    (lambda c: c["agents"]["hyperparams"].update(epsilon_end=-0.1), "agents.hyperparams: epsilon_end must be in"),
+]
+
 
 def test_parse_minimal_config(tmp_path):
     cfg = parse_config(base_config(tmp_path / "out"))
@@ -139,6 +169,9 @@ def test_parse_minimal_config(tmp_path):
         (lambda c: c["scenario"].update(p_max=None), "scenario: p_max must be finite, got None"),
         *NON_FINITE_CASES,
         *INTEGER_CASES,
+        *TYPE_CASES,
+        *TRACE_CASES,
+        *RANGE_CASES,
     ],
 )
 def test_validation_errors_name_the_field(tmp_path, mutate, needle):
@@ -539,6 +572,9 @@ def test_cli_validate_bad_config(tmp_path, capsys):
         (lambda c: c.update(output_dir=None), "output_dir"),
         *NON_FINITE_CASES,
         *INTEGER_CASES,
+        *TYPE_CASES,
+        *TRACE_CASES,
+        *RANGE_CASES,
     ],
 )
 def test_cli_validate_exits_2_naming_the_field(tmp_path, capsys, mutate, needle):

@@ -25,7 +25,7 @@ def test_load_trace_round_trip(tmp_path):
     path.write_text(CSV_2X2)
     trace = load_trace(path)
     assert trace.n_slots == 2
-    assert trace.vehicle_ids == (0, 1)
+    assert trace.ids.tolist() == [0, 1]
     assert trace.x[1, 0] == 13.89
 
     out = tmp_path / "copy.csv"
@@ -133,7 +133,7 @@ def test_platoon_equals_per_vehicle_composition():
             assert trace.x[t, i] == -i * spacing + mean_speed * t * dt + pos_noise[t, i]
             assert trace.speed[t, i] == max(0.0, mean_speed + spd_noise[t, i])
             assert trace.y[t, i] == -2.0
-    assert trace.vehicle_ids == tuple(range(n_vehicles))
+    assert trace.ids.tolist() == list(range(n_vehicles))
 
 
 def test_platoon_argument_errors():

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -45,13 +46,8 @@ def loss_fd(net: DenseNet, x: np.ndarray, grad_out: np.ndarray, arrays, h=1e-5):
     return grads
 
 
-def make_net(sizes, seed=0, output_activation="identity", hidden_activation="relu"):
-    return init_dense(
-        sizes,
-        np.random.default_rng(seed),
-        hidden_activation=hidden_activation,
-        output_activation=output_activation,
-    )
+def make_net(sizes, seed=0, output_activation="identity"):
+    return init_dense(sizes, np.random.default_rng(seed), output_activation=output_activation)
 
 
 def min_preactivation(tape) -> float:
@@ -274,6 +270,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     net = make_net((7, 32, 32, 5), seed=11, output_activation="tanh")
     path = tmp_path / "net.npz"
     save_checkpoint(net, path)
+    with np.load(path) as data:
+        header = json.loads(bytes(data["header"]).decode("utf-8"))
+    assert header == {"sizes": [7, 32, 32, 5], "output_activation": "tanh"}
     loaded = load_checkpoint(path)
     assert loaded.sizes == net.sizes
     assert loaded.output_activation == net.output_activation
